@@ -90,7 +90,7 @@ def test_fig12_threshold_sensitivity(benchmark):
     # Paper shape: DRCAT < 5% down to 16K; < 10% at 8K (doubled M).  Our
     # drift model is harsher than the paper's traces (hot sets relocate
     # mid-epoch), so the 16K bound is relaxed to 7.5% (see
-    # EXPERIMENTS.md).
+    # docs/REPORT.md, Figure 12).
     for t in ("64K", "32K"):
         assert by_t[t]["DRCAT"] < 5.0
     assert by_t["16K"]["DRCAT"] < 7.5

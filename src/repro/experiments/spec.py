@@ -256,7 +256,8 @@ class ExperimentSpec:
             raise ValueError("need at least one bank and one interval")
         if self.engine not in ENGINE_NAMES:
             raise ValueError(
-                f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}"
+                f"engine must be one of {', '.join(ENGINE_NAMES)}, "
+                f"got {self.engine!r}"
             )
         if self.refresh_threshold <= 0:
             raise ValueError("refresh_threshold must be positive")

@@ -23,10 +23,8 @@ from typing import Mapping
 
 #: Engines accepted by the simulator (kept in sync with
 #: :data:`repro.sim.engine.ENGINES`; duplicated here so config parsing
-#: does not import the simulation stack).  ``jit`` is the compiled
-#: tier — selectable everywhere, compiled only where numba is
-#: installed, bit-identical either way.
-ENGINE_NAMES = ("batched", "scalar", "jit")
+#: does not import the simulation stack).
+ENGINE_NAMES = ("scalar", "batched")
 
 #: Execution paths ``run_spec`` can take (``REPRO_SESSION_MODE``):
 #: the direct batch loop, the streaming session facade, or the

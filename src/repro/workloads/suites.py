@@ -95,7 +95,7 @@ def _spec(
 
 
 #: The paper's 18 evaluation workloads, in Figure 8 order.  Parameters
-#: are calibrated (see EXPERIMENTS.md) so the scheme-level CMRPO/ETO
+#: are calibrated (see docs/REPORT.md) so the scheme-level CMRPO/ETO
 #: means land in the paper's reported ranges: intensities back-solved
 #: from PRA's CMRPO arithmetic, concentration set so SCA_64 approaches
 #: its access-budget refresh ceiling at T=16K, and phase drift kept to

@@ -4,10 +4,15 @@ ISSUE-3 kept these shims alive for one release behind
 ``DeprecationWarning``; ISSUE-4 removed them.  This module pins the
 *removal guarantees*: every former shim now raises (``TypeError`` /
 ``AttributeError``) instead of silently doing something, and the
-canonical spec paths stay free of deprecation warnings.  CI runs this
-file as its own job so a future PR cannot quietly resurrect a shim.
+canonical spec paths stay free of deprecation warnings.  The retired
+``jit`` engine is pinned the same way: every surface that names an
+engine rejects it with an error listing the engines that remain.  CI
+runs this file as its own job so a future PR cannot quietly resurrect
+a shim.
 """
 
+import json
+import re
 import warnings
 
 import pytest
@@ -133,3 +138,77 @@ class TestSessionSurfaceIsCanonical:
             session.step(100)
             doc = json.loads(json.dumps(session.snapshot()))
             Session.restore(doc).result()
+
+
+#: The valid engines, in order, as every rejection message lists them
+#: (argparse may quote each name).
+VALID_ENGINES = re.compile(r"'?scalar'?, '?batched'?")
+
+
+def make_server(cache_dir):
+    from repro.server import ReproServer, ServerConfig
+
+    return ReproServer(ServerConfig(
+        port=0, workers=1, driver_threads=1, cache_dir=str(cache_dir),
+    ))
+
+
+class TestJitEngineRemoved:
+    """``engine="jit"`` is rejected wherever an engine can be named."""
+
+    def test_spec_rejects_jit(self):
+        with pytest.raises(ValueError, match=VALID_ENGINES):
+            fast_spec(engine="jit")
+
+    def test_cli_run_rejects_jit(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--workload", "libq", "--engine", "jit"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "'jit'" in err and VALID_ENGINES.search(err)
+
+    def test_bench_engine_env_rejects_jit(self):
+        from repro.report.config import BenchConfig, EnvConfigError
+
+        with pytest.raises(EnvConfigError, match=VALID_ENGINES):
+            BenchConfig.from_env({"REPRO_BENCH_ENGINE": "jit"})
+
+    def test_post_run_rejects_jit_with_a_4xx(self, tmp_path):
+        from repro.server.http import Request
+
+        doc = dict(fast_spec().to_dict(), engine="jit")
+        server = make_server(tmp_path / "cache")
+        try:
+            response = server.handle(Request(
+                method="POST", path="/v1/runs", query={}, headers={},
+                body=json.dumps({"spec": doc}).encode(),
+            ))
+        finally:
+            server.close()
+        assert 400 <= response.status < 500
+        error = json.loads(response.body)["error"]
+        assert VALID_ENGINES.search(error["message"])
+
+    def test_journaled_jit_job_recovers_as_failed(self, tmp_path):
+        from repro.server.journal import Journal
+
+        spec = fast_spec()
+        job_id = f"j00001-{spec.content_hash()[:8]}"
+        cache_root = tmp_path / "cache"
+        journal = Journal(cache_root / "journal")
+        journal.record_submit(
+            job_id, "run", spec.content_hash(), 1,
+            {"spec": dict(spec.to_dict(), engine="jit")},
+        )
+        journal.record_state(job_id, "running")
+        journal.close()
+        server = make_server(cache_root)
+        try:
+            job = server.jobs.get(job_id)
+            assert job.status == "failed" and job.recovered
+            assert job.error.startswith("recovery:")
+            assert VALID_ENGINES.search(job.error)
+        finally:
+            server.close()

@@ -1,8 +1,9 @@
 """Documentation link checker: local references must resolve.
 
-Walks the markdown links and images of the top-level docs plus every
+Walks the markdown links and images of the top-level docs, every
 file/module path they name in backticked code spans that look like
-paths, and asserts the targets exist in the checkout.  External
+paths, and every bare ``*.md`` name in their prose, and asserts the
+targets exist in the checkout.  External
 (http/https/mailto) links are out of scope — CI has no network
 guarantee — but every relative link is a promise about this repo's
 layout and goes stale silently without this gate.
@@ -25,6 +26,10 @@ _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 # Backticked spans that look like repo paths (contain a slash and an
 # extension), e.g. `src/repro/report/compare.py`.
 _PATH_SPAN = re.compile(r"`([A-Za-z0-9_./-]+/[A-Za-z0-9_.-]+\.[a-z]{2,4})`")
+# Markdown file names anywhere in the text, with or without a directory
+# and with or without backticks, e.g. "see DESIGN.md".  The lookbehind
+# keeps URL tails (``.../README.md``) out.
+_MD_NAME = re.compile(r"(?<![\w/.-])([A-Za-z0-9_][A-Za-z0-9_./-]*\.md)\b")
 
 
 def _targets(doc: Path):
@@ -37,6 +42,8 @@ def _targets(doc: Path):
             continue  # points outside the checkout (e.g. the CI badge)
         yield target.split("#")[0]
     for match in _PATH_SPAN.finditer(text):
+        yield match.group(1)
+    for match in _MD_NAME.finditer(text):
         yield match.group(1)
 
 

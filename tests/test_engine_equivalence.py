@@ -9,12 +9,17 @@ read counts as the per-event scalar loop.  Anything short of exact
 equality is an engine bug, not noise — see DESIGN.md, "Batched engine".
 """
 
+import dataclasses
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.analysis.prng import CountingPRNG, TrueRandomPRNG
+from repro.core.registry import scheme_names
 from repro.dram.config import DUAL_CORE_2CH
 from repro.experiments import ExperimentSpec, SchemeSpec
+from repro.experiments.run import run_spec
 from repro.sim.runner import simulate_attack, simulate_workload
 from repro.sim.simulator import TraceDrivenSimulator
 from repro.workloads.suites import get_workload
@@ -163,3 +168,70 @@ def test_batched_access_batch_rejects_bad_rows():
         scheme = make_scheme(kind, 1024, 128)
         with pytest.raises(ValueError):
             scheme.access_batch(np.array([5, 2048], dtype=np.int64))
+
+
+# -- deterministic fuzz over every registered scheme ------------------------
+
+#: Per-scheme randomized parameter draws (see :func:`_sample_spec`).
+FUZZ_DRAWS = 2
+
+#: Scheme-parameter samplers for the fuzzed axis.  Only knobs that
+#: change the hot-loop shape are varied; anything else is the default.
+_PARAM_SAMPLERS = {
+    "sca": lambda rng: {"n_counters": int(rng.choice([32, 128, 512]))},
+    "prcat": lambda rng: {"n_counters": int(rng.choice([32, 64, 128]))},
+    "drcat": lambda rng: {"max_levels": int(rng.choice([8, 11]))},
+    "pra": lambda rng: {"probability": float(rng.choice([0.002, 0.01]))},
+    "ccache": lambda rng: {},
+}
+
+
+def _sample_spec(scheme: str, rng: np.random.Generator) -> ExperimentSpec:
+    """One randomized experiment for ``scheme`` (engine left default).
+
+    Scales stay in the cheap regime (higher scale = fewer accesses) so
+    the full fuzz matrix remains tier-1 friendly on the scalar engine.
+    """
+    params = _PARAM_SAMPLERS.get(scheme, lambda _: {})(rng)
+    return ExperimentSpec(
+        scheme=SchemeSpec.create(scheme, **params),
+        workload=str(rng.choice(["mum", "libq", "black"])),
+        refresh_threshold=int(rng.choice([32768, 16384, 8192])),
+        scale=float(rng.choice([48.0, 96.0])),
+        n_banks=int(rng.choice([1, 2])),
+        n_intervals=int(rng.choice([1, 2])),
+    )
+
+
+@pytest.mark.parametrize("scheme", scheme_names())
+def test_fuzzed_specs_bit_identical(scheme):
+    """Sampled specs agree on both engines, tree internals included."""
+    rng = np.random.default_rng(zlib.crc32(scheme.encode("utf-8")))
+    for draw in range(FUZZ_DRAWS):
+        base = _sample_spec(scheme, rng)
+        docs = {}
+        prints = {}
+        for engine in ("scalar", "batched"):
+            sim = TraceDrivenSimulator(
+                dataclasses.replace(base, engine=engine)
+            )
+            docs[engine] = sim.run().to_dict()
+            prints[engine] = _fingerprint(sim._last_memory)
+        context = f"{scheme} draw {draw}: {base}"
+        assert docs["batched"] == docs["scalar"], context
+        assert prints["batched"] == prints["scalar"], context
+
+
+@pytest.mark.parametrize("mode", ("session", "checkpoint"))
+@pytest.mark.parametrize("scheme", ("drcat", "ccache", "sca"))
+def test_batched_session_modes_match_direct(scheme, mode, monkeypatch):
+    """Streaming and checkpoint/restore round-trips on the batched engine."""
+    spec = ExperimentSpec(
+        scheme=SchemeSpec(scheme), workload="mum", engine="batched",
+        scale=64.0, n_banks=2, n_intervals=3,
+    )
+    monkeypatch.setenv("REPRO_SESSION_MODE", "direct")
+    direct = run_spec(spec)
+    monkeypatch.setenv("REPRO_SESSION_MODE", mode)
+    routed = run_spec(spec)
+    assert routed.to_dict() == direct.to_dict()
