@@ -4,11 +4,13 @@ Writes ``benchmarks/results/BENCH_perf.json`` (and a copy at the repo
 root, committed for cross-PR trajectory tracking) with, per scheme, the
 accesses/second of the scalar and batched engines on the profile
 workload (``mum``, the hot-path workload from the ISSUE-1 cProfile),
-the wall-clock of a Figure 8 mini-sweep, the warm/cold behaviour of the
-sweep-cell result cache (ISSUE-3), and the sweep-throughput section
-(ISSUE-5): a scheme-axis figure grid timed with the activation-trace
-store disabled (the PR-4 cold baseline), cold (populating), and warm
-(every stream memmap-served) — plus the persistent-pool reuse gain.  A
+a report-only ``drcat_harvest`` row (DRCAT on ``comm1``, whose harvest
+storms ``mum`` never reaches), the wall-clock of a Figure 8 mini-sweep,
+the warm/cold behaviour of the sweep-cell result cache (ISSUE-3), and
+the sweep-throughput section (ISSUE-5): a scheme-axis figure grid
+timed with the activation-trace store disabled (the PR-4 cold
+baseline), cold (populating), and warm (every stream memmap-served) —
+plus the persistent-pool reuse gain.  A
 ``seed_path`` baseline replays the seed repository's exact scalar hot
 loop (float64 merged matrix with per-event ``int()`` casts) for an
 apples-to-apples speedup figure against the pre-optimization code.
@@ -61,6 +63,10 @@ PROFILE_WORKLOAD = "mum"
 SCHEMES = ("drcat", "prcat", "sca", "pra", "ccache")
 #: Minimum accepted batched/scalar speedup on drcat for ``--check``.
 CHECK_MIN_SPEEDUP = 5.0
+#: Report-only ``drcat_harvest`` row: DRCAT on a skewed, drifting
+#: workload whose exhausted counter pool triggers harvest storms (runs
+#: of failed merge attempts), a path ``mum`` never reaches.  Not gated.
+HARVEST_WORKLOAD = "comm1"
 #: Mini-sweep used for the wall-clock trend (subset of Figure 8).
 MINI_SWEEP_WORKLOADS = ("mum", "libq", "black", "comm1")
 MINI_SWEEP_SCHEMES = ("pra", "sca", "prcat", "drcat")
@@ -106,13 +112,15 @@ def _scoped_env(values: dict):
                 os.environ[key] = old
 
 
-def _measure(engine: str, scheme: str, repeats: int) -> tuple[float, int]:
+def _measure(
+    engine: str, scheme: str, repeats: int, workload: str = PROFILE_WORKLOAD
+) -> tuple[float, int]:
     """Best wall-clock and access count of ``simulate_workload``."""
     best = float("inf")
     accesses = 0
     for _ in range(repeats):
         start = time.perf_counter()
-        result = simulate_workload(PROFILE_WORKLOAD, scheme, engine=engine)
+        result = simulate_workload(workload, scheme, engine=engine)
         best = min(best, time.perf_counter() - start)
         accesses = result.totals.accesses
     return best, accesses
@@ -402,6 +410,17 @@ def run_bench(smoke: bool = False, repeats: int = 3) -> dict:
                 "speedup_vs_scalar": round(scalar_s / batched_s, 2),
                 "speedup_vs_seed_path": round(seed_s / batched_s, 2),
             }
+        scalar_s, accesses = _measure("scalar", "drcat", repeats, HARVEST_WORKLOAD)
+        batched_s, _ = _measure("batched", "drcat", repeats, HARVEST_WORKLOAD)
+        report["schemes"]["drcat_harvest"] = {
+            "workload": HARVEST_WORKLOAD,
+            "accesses": accesses,
+            "scalar_s": round(scalar_s, 4),
+            "batched_s": round(batched_s, 4),
+            "scalar_accesses_per_s": round(accesses / scalar_s),
+            "batched_accesses_per_s": round(accesses / batched_s),
+            "speedup_vs_scalar": round(scalar_s / batched_s, 2),
+        }
         if not smoke:
             start = time.perf_counter()
             sweep(
@@ -462,7 +481,7 @@ def _measure_cache_speedup() -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
-                        help="drcat only (fast CI mode)")
+                        help="drcat rows only (fast CI mode)")
     parser.add_argument("--check", action="store_true",
                         help="fail unless batched >= "
                              f"{CHECK_MIN_SPEEDUP}x scalar on drcat")
@@ -483,8 +502,10 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{scheme:7s} scalar {row['scalar_accesses_per_s']:>10,}/s   "
             f"batched {row['batched_accesses_per_s']:>10,}/s   "
-            f"speedup {row['speedup_vs_scalar']:5.1f}x "
-            f"(vs seed path {row['speedup_vs_seed_path']:5.1f}x)"
+            f"speedup {row['speedup_vs_scalar']:5.1f}x"
+            + (f" (vs seed path {row['speedup_vs_seed_path']:5.1f}x)"
+               if "speedup_vs_seed_path" in row
+               else f" on {row['workload']}, report-only")
         )
     if "fig8_mini_sweep_s" in report:
         print(f"fig8 mini-sweep: {report['fig8_mini_sweep_s']} s")

@@ -6,26 +6,39 @@ per-activation Python loop with numpy chunk processing while remaining
 the identical stream positions — as the scalar loop, and leave every
 counter, statistic, and tree structure in the identical state.
 
-The core idea is *headroom bisection*.  Counting schemes (SCA and the
-CAT family) only change externally observable state when some counter
-crosses a threshold: a refresh, a split, or a DRCAT harvest attempt.
-Between such events, processing a chunk of activations is a pure
-per-counter accumulation, which vectorizes as an ``np.bincount``.  Each
-active counter therefore exposes a *headroom*: the number of further
-hits it can absorb before its next event.  A chunk whose per-counter hit
-counts all stay below the headroom is applied wholesale; otherwise
-:func:`find_first_event` locates the exact first crossing position, the
-prefix is applied in bulk, and the single event access is replayed
-through the scheme's scalar ``access`` — which stays the oracle for all
-tree mutations (split, harvest/merge, weight updates, epoch resets).
+The core idea is *headroom*.  Counting schemes (SCA and the CAT family)
+only change externally observable state when some counter crosses a
+threshold: a refresh, a split, or a DRCAT harvest attempt.  Between such
+events, processing activations is a pure per-counter accumulation, which
+vectorizes as an ``np.bincount``.  Each active counter therefore exposes
+a *headroom*: the number of further hits it can absorb before its next
+event.  Counter ``c`` triggers at the ``headroom[c]``-th occurrence of
+``c`` in the stream, so one gather over a window finds every counter's
+trigger position at once; they form an *event queue* popped in stream
+order.  Each popped event applies the prefix before it in bulk and
+replays the single event access through the scheme's scalar ``access``
+— which stays the oracle for all tree mutations (split, harvest/merge,
+weight updates, refreshes).
+
+The queue stays valid across a replay as long as the tree's *generation*
+(:meth:`CounterTree._generation`: the map version, plus the refresh
+count when DRCAT weights are tracked) is unchanged.  Such a replay is a
+failed DRCAT harvest (it only parks the replayed counter), a PRCAT
+refresh (it only resets the replayed counter) or a no-op: no other
+counter's headroom moved, and applying the prefix consumed exactly the
+hits each queued position was computed from, so only the replayed
+counter's next trigger is re-found.  A split, merge or DRCAT refresh
+changes the generation — ids, budgets, blocked flags and counts may all
+have moved — and the rest of the window is gathered afresh.
 
 Headroom may be *conservative* (too small) without breaking exactness:
-a flagged position whose scalar replay turns out not to be an event
+a queued position whose scalar replay turns out not to be an event
 simply costs one extra scalar call.  It must never be optimistic.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,51 +46,10 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.base import MitigationScheme, RefreshCommand
 
-#: Window size for chunked batch processing.  Bounds the re-scan cost
-#: after an event (one occurrence scan of at most this many ids) while
-#: keeping the per-window Python overhead negligible.
+#: Window size for chunked batch processing.  Bounds the cost of one
+#: gather (a sort of at most this many ids) while keeping the
+#: per-window Python overhead negligible.
 BATCH_WINDOW = 2048
-
-
-def find_first_event(
-    ids: np.ndarray, headroom: np.ndarray, n_bins: int
-) -> tuple[np.ndarray, int | None]:
-    """Locate the first threshold-crossing position in one chunk.
-
-    Parameters
-    ----------
-    ids:
-        Per-access counter index (``int64``, values in ``[0, n_bins)``).
-    headroom:
-        Per-counter hits-until-next-event (``int64``, ``>= 1`` for every
-        counter that appears in ``ids``).
-    n_bins:
-        Number of counters.
-
-    Returns
-    -------
-    ``(counts, position)`` where ``counts`` is the per-counter hit count
-    of the whole chunk and ``position`` is the index of the first access
-    that reaches its counter's headroom — or ``None`` when the entire
-    chunk is event-free.
-    """
-    counts = np.bincount(ids, minlength=n_bins)
-    if len(counts) > n_bins:
-        raise ValueError("counter id out of range")
-    crossing = counts >= headroom
-    if not crossing.any():
-        return counts, None
-    # Exact first crossing: only counters whose chunk hit count reaches
-    # their headroom can trigger, and counter c triggers at its
-    # headroom[c]-th occurrence (1-based).  Usually exactly one counter
-    # crosses, so a direct occurrence scan beats an occurrence sort.
-    position: int | None = None
-    for c in crossing.nonzero()[0].tolist():
-        occurrences = (ids == c).nonzero()[0]
-        pos = int(occurrences[int(headroom[c]) - 1])
-        if position is None or pos < position:
-            position = pos
-    return counts, position
 
 
 def check_rows(rows: np.ndarray, n_rows: int) -> None:
@@ -93,12 +65,13 @@ def counter_scheme_access_batch(
     """Exact batched access for tree-based schemes (PRCAT / DRCAT).
 
     Processes windows of accesses against the tree's row-block index
-    map, maintaining the window's per-counter hit counts incrementally:
-    event-free remainders apply wholesale via
-    :meth:`CounterTree.apply_bulk_counts`, and each event access replays
-    through the scheme's scalar ``access`` (the oracle).  Returns
-    ``(position, commands)`` pairs for every access that emitted
-    commands, in stream order.
+    map.  Each gather queues the trigger position of every counter whose
+    remaining hits reach its headroom; events replay through the
+    scheme's scalar ``access`` (the oracle) in stream order and the
+    event-free stretches between them apply via
+    :meth:`CounterTree.apply_bulk_counts`.  Returns ``(position,
+    commands)`` pairs for every access that emitted commands, in stream
+    order.
     """
     n = len(rows)
     if n == 0:
@@ -108,49 +81,50 @@ def counter_scheme_access_batch(
     n_bins = tree.n_counters
     events: list[tuple[int, list["RefreshCommand"]]] = []
     scalar_calls = 0
-    base = 0
-    while base < n:
+    for base in range(0, n, BATCH_WINDOW):
         chunk = rows[base : base + BATCH_WINDOW]
-        # Gather once per window; re-gather (and re-count the remainder)
-        # only after a structural mutation bumps the map version.
-        ids = tree.map_rows_to_counters(chunk)
-        version = tree._map_version
-        counts = np.bincount(ids, minlength=n_bins)
         start = 0
-        while True:
+        while start < len(chunk):
+            # Gather the rest of the window: ids, per-counter hit counts,
+            # and one trigger per crossing counter.  ``order`` lists each
+            # counter's occurrences contiguously, in stream order, ending
+            # before ``end[c]``; a queue entry ``(pos, c, k)`` is the
+            # access at ``order[k]``.
+            ids = tree.map_rows_to_counters(chunk[start:])
+            generation = tree._generation()
+            counts = np.bincount(ids, minlength=n_bins)
             headroom = tree._headroom()
-            crossing = counts >= headroom
-            if not crossing.any():
-                # No event left in the window: apply the remainder.
-                tree.apply_bulk_counts(counts)
-                break
-            # Counter c triggers at its headroom[c]-th remaining
-            # occurrence; the earliest such position is the event.
-            position: int | None = None
-            for c in crossing.nonzero()[0].tolist():
-                occurrences = (ids[start:] == c).nonzero()[0]
-                pos = start + int(occurrences[int(headroom[c]) - 1])
-                if position is None or pos < position:
-                    position = pos
-            prefix_counts = np.bincount(ids[start:position], minlength=n_bins)
-            tree.apply_bulk_counts(prefix_counts)
-            event_counter = int(ids[position])
-            cmds = scheme.access(int(chunk[position]))
-            scalar_calls += 1
-            if cmds:
-                events.append((base + position, cmds))
-            start = position + 1
-            if start >= len(chunk):
-                break
-            if tree._map_version != version:
-                ids = tree.map_rows_to_counters(chunk)
-                version = tree._map_version
-                counts = np.bincount(ids[start:], minlength=n_bins)
+            crossing = (counts >= headroom).nonzero()[0]
+            queue: list[tuple[int, int, int]] = []
+            if len(crossing):
+                order = np.argsort(ids, kind="stable")
+                end = np.cumsum(counts)
+                trigger = (end - counts + headroom - 1)[crossing]
+                end = end.tolist()
+                queue = list(
+                    zip(order[trigger].tolist(), crossing.tolist(), trigger.tolist())
+                )
+                heapq.heapify(queue)
+            applied = 0
+            while queue:
+                pos, c, k = heapq.heappop(queue)
+                tree.apply_bulk_counts(np.bincount(ids[applied:pos], minlength=n_bins))
+                cmds = scheme.access(int(chunk[start + pos]))
+                scalar_calls += 1
+                if cmds:
+                    events.append((base + start + pos, cmds))
+                applied = pos + 1
+                if tree._generation() != generation:
+                    break  # re-gather the rest of the window
+                k += tree._headroom_of(c)
+                if k < end[c]:
+                    heapq.heappush(queue, (int(order[k]), c, k))
             else:
-                counts -= prefix_counts
-                counts[event_counter] -= 1
-        base += len(chunk)
+                # Queue drained: the rest of the window is event-free.
+                rest = np.bincount(ids[applied:], minlength=n_bins) if applied else counts
+                tree.apply_bulk_counts(rest)
+                applied = len(ids)
+            start += applied
     # Scalar replays already counted their own activations.
     scheme.stats.activations += n - scalar_calls
     return events
-

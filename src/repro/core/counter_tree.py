@@ -355,13 +355,22 @@ class CounterTree:
     # turns ``lookup`` into an O(1) array gather, and a whole chunk of
     # activations into one ``np.bincount``.  Splits and merges update
     # the map in place (their ranges are block-aligned) and bump
-    # ``_map_version`` so holders of gathered ids re-gather; ``reset``
-    # drops it for lazy rebuild from the partition.
+    # ``_map_version``; ``reset`` drops it for lazy rebuild from the
+    # partition.  The batch path's event queue (see
+    # :mod:`repro.core.batch`) re-gathers whenever ``_generation()``
+    # moves; between those it
+    # only re-finds the replayed counter's trigger via ``_headroom_of``,
+    # the per-counter form of ``_headroom`` (the two are pinned equal by
+    # ``tests/test_batch_queue.py``).
 
     def _build_index_map(self) -> None:
         block_bits = self.max_levels - 1
         shift = self._n_addr_bits - block_bits
-        index_map = np.empty(1 << block_bits, dtype=np.int64)
+        # The narrowest unsigned dtype: the batch path's stable argsort
+        # of gathered ids is a radix sort for 8/16-bit keys.
+        index_map = np.empty(
+            1 << block_bits, dtype=np.min_scalar_type(self.n_counters - 1)
+        )
         for low, high, i in self.partition():
             index_map[low >> shift : (high >> shift) + 1] = i
         self._block_shift = shift
@@ -380,13 +389,6 @@ class CounterTree:
             self._reads_per_counter = 1 + level
         self._split_threshold_per_counter = self._split_threshold_by_level[level]
         self._below_max_level = level < self.max_levels - 1
-        self._child_l_np = np.asarray(self._child_l)
-        self._child_r_np = np.asarray(self._child_r)
-        self._pair_inodes = (
-            np.asarray(self._inode_active)
-            & np.asarray(self._leaf_l)
-            & np.asarray(self._leaf_r)
-        ).nonzero()[0]
 
     def _headroom(self) -> np.ndarray:
         """Hits each counter absorbs before its next event (never 0).
@@ -419,6 +421,37 @@ class CounterTree:
         return np.where(
             eligible, np.minimum(headroom, split_headroom), headroom
         )
+
+    def _headroom_of(self, c: int) -> int:
+        """``_headroom()[c]`` for one active counter, from scalar state.
+
+        The event queue calls this after a replay that left the
+        generation unchanged, where only counter ``c`` moved.
+        """
+        count, level = self._count[c], self._level[c]
+        headroom = self.thresholds.refresh_threshold - count
+        if level < self.max_levels - 1 and (
+            self._free_counters
+            or (
+                self.track_weights
+                and self._harvest_budget > 0
+                and not self._harvest_blocked[c]
+            )
+        ):
+            split = int(self._split_threshold_by_level[level]) - count
+            headroom = min(headroom, max(1, split))
+        return headroom
+
+    def _generation(self) -> tuple[int, int]:
+        """Changes whenever an access may have moved another counter's
+        headroom.
+
+        Splits and merges bump ``_map_version``.  A DRCAT refresh also
+        unblocks every counter and refills the harvest budget; a PRCAT
+        refresh only resets the refreshing counter's own count.
+        """
+        refreshes = self.total_refresh_commands if self.track_weights else 0
+        return (self._map_version, refreshes)
 
     def map_rows_to_counters(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized lookup: the active counter index covering each row.
@@ -574,41 +607,32 @@ class CounterTree:
         # cold keep their stale counts until the next blanket refresh.)
         ceiling = self.thresholds.refresh_threshold - 1
         count_gate = ceiling if count_gate is None else min(ceiling, count_gate)
-        if self._index_map is not None:
-            # Batch mode keeps these in the structural caches.
-            inodes = self._pair_inodes
-            child_l, child_r = self._child_l_np, self._child_r_np
-        else:
-            inodes = (
-                np.asarray(self._inode_active)
-                & np.asarray(self._leaf_l)
-                & np.asarray(self._leaf_r)
-            ).nonzero()[0]
-            child_l = np.asarray(self._child_l)
-            child_r = np.asarray(self._child_r)
-        if not len(inodes):
+        count, weight, level = self._count, self._weight, self._level
+        best, best_count = _NO_NODE, count_gate + 1
+        # Ascending inode order with a strict ``<`` keeps the lowest
+        # inode index on a merged-count tie.
+        for inode, (active, leaf_l, leaf_r, left, right) in enumerate(
+            zip(
+                self._inode_active,
+                self._leaf_l,
+                self._leaf_r,
+                self._child_l,
+                self._child_r,
+            )
+        ):
+            if not (active and leaf_l and leaf_r):
+                continue
+            if left == exclude or right == exclude or weight[left] or weight[right]:
+                continue
+            if level[left] < min_child_level:
+                continue
+            merged = max(count[left], count[right])
+            if merged < best_count:
+                best, best_count = inode, merged
+        if best == _NO_NODE:
             return None
-        left = child_l[inodes]
-        right = child_r[inodes]
-        count = np.asarray(self._count)
-        weight = np.asarray(self._weight)
-        merged_count = np.maximum(count[left], count[right])
-        eligible = (
-            (left != exclude)
-            & (right != exclude)
-            & (weight[left] == 0)
-            & (weight[right] == 0)
-            & (np.asarray(self._level)[left] >= min_child_level)
-            & (merged_count <= count_gate)
-        )
-        chosen = eligible.nonzero()[0]
-        if not len(chosen):
-            return None
-        # argmin returns the first minimum; inodes is ascending, so ties
-        # resolve to the lowest inode index.
-        inode = int(inodes[chosen[np.argmin(merged_count[chosen])]])
-        parent, slot_right = self._parent_of_inode(inode)
-        return (inode, parent, slot_right)
+        parent, slot_right = self._parent_of_inode(best)
+        return (best, parent, slot_right)
 
     def _parent_of_inode(self, inode: int) -> tuple[int, bool]:
         """Locate the parent slot pointing at ``inode`` (root: ``-1``)."""
