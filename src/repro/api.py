@@ -66,7 +66,7 @@ logger = logging.getLogger(__name__)
 
 #: Bump on incompatible snapshot-layout changes; :meth:`Session.restore`
 #: rejects other versions with a regeneration hint.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 SNAPSHOT_KIND = "repro-session-snapshot"
 
 

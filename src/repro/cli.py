@@ -983,12 +983,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "they are bit-identical)")
     p_ver.add_argument("--session", choices=list(SESSION_MODES),
                        default=None,
-                       help="spec execution path: 'session' runs every "
-                            "cell through the streaming facade, "
-                            "'checkpoint' additionally snapshots each "
-                            "cell mid-run, JSON-round-trips and resumes "
-                            "it (default direct; all paths must match "
-                            "the same goldens)")
+                       help="spec execution path: 'checkpoint' "
+                            "snapshots each cell mid-run, "
+                            "JSON-round-trips and resumes it (default "
+                            "direct; both paths must match the same "
+                            "goldens)")
     p_ver.add_argument("--update", action="store_true",
                        help="rewrite the golden store from this run "
                             "instead of comparing")

@@ -504,13 +504,6 @@ class CounterTree:
         """True when counter ``idx``'s weight register is at its cap."""
         return self._weight[idx] >= WEIGHT_MAX
 
-    def hottest_saturated_counter(self) -> int | None:
-        """Index of a weight-saturated counter, or ``None``."""
-        for i in range(self.n_counters):
-            if self._counter_active[i] and self._weight[i] >= WEIGHT_MAX:
-                return i
-        return None
-
     def reconfigure(self, hot_idx: int, count_gate: int | None = None) -> bool:
         """DRCAT step: merge a cold sibling pair, re-split ``hot_idx``.
 

@@ -2,18 +2,20 @@
 
 ``REPRO_SESSION_MODE`` selects the execution path every spec takes:
 
-* ``direct`` (default) — the batch run-to-completion loop;
-* ``session`` — open a streaming :class:`repro.api.Session` and drive it
-  to completion (proves the session facade against the batch path);
-* ``checkpoint`` — run half the simulated horizon, snapshot, round-trip
-  the snapshot through JSON, restore into a *fresh* session, and finish
-  (proves checkpoint/resume bit-identity; ``repro verify --session
-  checkpoint`` gates the whole figure suite through this path).
+* ``direct`` (default) — the run-to-completion loop
+  (:meth:`SessionCore.advance <repro.sim.session.SessionCore.advance>`
+  with no limits, the same loop a streaming
+  :class:`repro.api.Session` drives);
+* ``checkpoint`` — open a streaming session, run half the simulated
+  horizon, snapshot, round-trip the snapshot through JSON, restore into
+  a *fresh* session, and finish (proves checkpoint/resume bit-identity;
+  ``repro verify --session checkpoint`` gates the whole figure suite
+  through this path).
 
-All three paths are bit-identical by construction; the knob exists so
-CI can prove it stays that way.  The sweep-cell result cache is bypassed
-for the non-direct modes — a cache hit would silently skip the very
-code path being exercised.
+Both paths are bit-identical by construction; the knob exists so CI can
+prove it stays that way.  The sweep-cell result cache is bypassed for
+the checkpoint mode — a cache hit would silently skip the very code path
+being exercised.
 
 Pool fan-out goes through the process-wide persistent :class:`SweepPool`
 (created on first use, grown on demand, reused by every plan in the
@@ -99,14 +101,13 @@ def run_spec(spec: ExperimentSpec):
         return TraceDrivenSimulator(spec).run()
     from repro.api import Session
 
+    # Checkpoint mode.  Mid-run cut: half the simulated horizon —
+    # mid-interval for single-interval runs, the interior boundary
+    # region otherwise.
     session = Session(spec)
-    if mode == "checkpoint":
-        # Mid-run cut: half the simulated horizon — mid-interval for
-        # single-interval runs, the interior boundary region otherwise.
-        session.advance(session.total_ns / 2.0)
-        doc = json.loads(json.dumps(session.snapshot()))
-        session = Session.restore(doc)
-    return session.result()
+    session.advance(session.total_ns / 2.0)
+    doc = json.loads(json.dumps(session.snapshot()))
+    return Session.restore(doc).result()
 
 
 def _pool_cell(spec: ExperimentSpec):
@@ -284,33 +285,6 @@ class SweepPool:
             except (OSError, AttributeError):
                 pass
         executor.shutdown(wait=False, cancel_futures=True)
-
-    @classmethod
-    def map_chunked(cls, specs: list, workers: int) -> list:
-        """Run ``specs`` on the pool in pickling-amortized chunks.
-
-        The strict legacy surface: results in order, first cell failure
-        re-raised as :class:`~repro.errors.CellExecutionError`.  The
-        fault-tolerant scheduler in :func:`run_plan` supersedes this
-        for plan execution.
-        """
-        pool = cls.get(workers)
-        size = max(1, math.ceil(len(specs) / (workers * _CHUNKS_PER_WORKER)))
-        env = _pool_env()
-        futures = [
-            pool.submit(_pool_run_chunk, specs[i:i + size], env)
-            for i in range(0, len(specs), size)
-        ]
-        results = []
-        for future in futures:
-            for outcome in future.result():
-                if outcome["ok"]:
-                    results.append(outcome["result"])
-                else:
-                    raise CellExecutionError(
-                        [CellFailure.from_dict(outcome["failure"])]
-                    )
-        return results
 
 
 atexit.register(SweepPool.shutdown)
@@ -669,7 +643,7 @@ def run_plan(
     specs = tuple(plan.specs if isinstance(plan, Plan) else plan)
     cache = ResultCache.coerce(cache)
     if cache is not None and session_mode() != "direct":
-        # A cache hit would skip the session/checkpoint path entirely,
+        # A cache hit would skip the checkpoint path entirely,
         # making the equivalence gate vacuous; always simulate.
         cache = None
     cells = [

@@ -27,10 +27,10 @@ from typing import Mapping
 ENGINE_NAMES = ("scalar", "batched")
 
 #: Execution paths ``run_spec`` can take (``REPRO_SESSION_MODE``):
-#: the direct batch loop, the streaming session facade, or the
-#: checkpoint-mid-run/JSON-round-trip/resume path — all bit-identical
-#: by contract (see :mod:`repro.experiments.run`).
-SESSION_MODES = ("direct", "session", "checkpoint")
+#: the direct run-to-completion loop or the checkpoint-mid-run/
+#: JSON-round-trip/resume path — bit-identical by contract (see
+#: :mod:`repro.experiments.run`).
+SESSION_MODES = ("direct", "checkpoint")
 
 #: Named fidelity points: the env values ``repro verify`` applies.
 FIDELITIES: dict[str, dict[str, str]] = {

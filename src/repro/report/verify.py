@@ -135,9 +135,9 @@ def run_verify(
     """Drive one verify run; returns the process exit code.
 
     ``session`` selects the spec execution path (``direct`` /
-    ``session`` / ``checkpoint``) every simulated cell takes; the
-    non-direct paths gate the streaming-session equivalence guarantees
-    against the *unmodified* golden store.
+    ``checkpoint``) every simulated cell takes; ``checkpoint`` gates
+    the snapshot/resume equivalence guarantee against the *unmodified*
+    golden store.
     """
     say = (out or sys.stdout).write
 

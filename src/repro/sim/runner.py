@@ -254,8 +254,3 @@ def suite_means(
     return {
         scheme: mean_over(runs, attr) for scheme, runs in by_scheme.items()
     }
-
-
-def _resolve_workload(workload: str | WorkloadSpec) -> WorkloadSpec:
-    """Deprecated alias for :func:`repro.workloads.resolve_workload`."""
-    return resolve_workload(workload)

@@ -20,6 +20,15 @@ equivalence argument:
   :meth:`to_state` / :meth:`SessionCore.from_state` capture and restore
   it (together with the scheme/bank state protocol) bit-identically.
 
+Both engines keep the same pending layout — one sorted ``(times, rows)``
+pair per bank plus a cursor — and differ only in how they serve a
+stretch of it: the batched engine hands the arrays to
+:func:`~repro.sim.engine.advance_batched_streams`, the scalar oracle
+merges the slice it is about to serve into global ``(time, bank)``
+order and calls :meth:`MemorySystem.access
+<repro.dram.memory_system.MemorySystem.access>` per event.  Snapshots
+therefore have one layout and resume on either engine.
+
 Streams are generated lazily, one interval at a time, consuming the
 arrival RNG in exactly the order the historical loop did (per bank, in
 bank order, per interval), so a core that is never paused produces the
@@ -110,7 +119,6 @@ class SessionCore:
         self.full_intensity = full_intensity
         self.rows_fn = rows_fn
         self.engine = sim.engine
-        self._banked = self.engine == "batched"
         self.n_banks = sim.n_banks_simulated
         self.n_intervals = sim.n_intervals
         self.epoch_ns = sim.epoch_s * 1e9
@@ -124,19 +132,11 @@ class SessionCore:
         self.arrival_rng = np.random.Generator(np.random.PCG64(sim.seed))
         #: index of the interval whose streams are loaded (-1 = none yet)
         self.interval = -1
-        # Batched engine: per-bank pending arrays + cursors.
+        # Pending streams (both engines): per-bank sorted arrays, each
+        # with a cursor at its first unserved access.
         self._bank_times: list[np.ndarray] = []
         self._bank_rows: list[np.ndarray] = []
         self._cursors: list[int] = []
-        # Scalar engine: merged pending arrays + one cursor (numpy for
-        # searchsorted/suffix capture, lists for the per-event loop).
-        self._m_times = np.empty(0, dtype=np.float64)
-        self._m_banks = np.empty(0, dtype=np.int64)
-        self._m_rows = np.empty(0, dtype=np.int64)
-        self._m_times_list: list[float] = []
-        self._m_banks_list: list[int] = []
-        self._m_rows_list: list[int] = []
-        self._m_cursor = 0
         # Position floor carried across snapshot/restore (cursors reset
         # to zero on restore, so served history is otherwise invisible).
         self._position_floor = 0.0
@@ -201,28 +201,16 @@ class SessionCore:
     def _install_streams(
         self, per_bank: list[tuple[np.ndarray, np.ndarray]]
     ) -> None:
-        if self._banked:
-            self._bank_times = [t for t, _ in per_bank]
-            self._bank_rows = [
-                r.astype(np.int64, copy=False) for _, r in per_bank
-            ]
-            self._cursors = [0] * len(per_bank)
-        else:
-            times, banks, rows = merge_streams(per_bank)
-            self._m_times, self._m_banks, self._m_rows = times, banks, rows
-            self._m_times_list = times.tolist()
-            self._m_banks_list = banks.tolist()
-            self._m_rows_list = rows.tolist()
-            self._m_cursor = 0
+        self._bank_times = [t for t, _ in per_bank]
+        self._bank_rows = [r.astype(np.int64, copy=False) for _, r in per_bank]
+        self._cursors = [0] * len(per_bank)
 
     def _interval_exhausted(self) -> bool:
         if self.interval < 0:
             return True
-        if self._banked:
-            return all(
-                c >= len(t) for c, t in zip(self._cursors, self._bank_times)
-            )
-        return self._m_cursor >= len(self._m_times_list)
+        return all(
+            c >= len(t) for c, t in zip(self._cursors, self._bank_times)
+        )
 
     def _load_next_interval(self) -> bool:
         """Generate and install the next interval; False when done."""
@@ -262,7 +250,7 @@ class SessionCore:
             budget = None if max_accesses is None else max_accesses - served
             if budget is not None and budget <= 0:
                 break
-            if self._banked:
+            if self.engine == "batched":
                 n = advance_batched_streams(
                     self.memory,
                     list(zip(self._bank_times, self._bank_rows)),
@@ -283,28 +271,38 @@ class SessionCore:
     def _advance_scalar(
         self, until_ns: float | None, max_accesses: int | None
     ) -> int:
-        """Per-event reference loop over the merged pending stream."""
-        start = self._m_cursor
-        end = len(self._m_times_list)
-        if until_ns is not None:
-            end = int(
-                np.searchsorted(self._m_times, until_ns, side="left")
-            )
+        """Per-event reference loop over the pending streams, in global
+        ``(time, bank)`` order.
+
+        Only the stretch that can be served in this call is merged: each
+        bank's pending slice is cut at ``until_ns`` and capped at
+        ``max_accesses`` (no bank can contribute more), so many small
+        steps never re-merge the whole interval.
+        """
+        pending = []
+        for times, rows, c in zip(
+            self._bank_times, self._bank_rows, self._cursors
+        ):
+            end = len(times)
+            if until_ns is not None:
+                end = c + int(np.searchsorted(times[c:], until_ns, side="left"))
+            if max_accesses is not None:
+                end = min(end, c + max_accesses)
+            pending.append((times[c:end], rows[c:end]))
+        times, banks, rows = merge_streams(pending)
+        n = len(times)
         if max_accesses is not None:
-            end = min(end, start + max_accesses)
-        if end <= start:
-            return 0
+            n = min(n, max_accesses)
         access = self.memory.access
-        times = self._m_times_list
-        banks = self._m_banks_list
-        rows = self._m_rows_list
-        for k in range(start, end):
-            # The cursor leads each serve so an epoch tap firing inside
-            # ``access`` observes a consistent pending suffix.
-            self._m_cursor = k
-            access(times[k], banks[k], rows[k])
-        self._m_cursor = end
-        return end - start
+        cursors = self._cursors
+        for t, b, r in zip(
+            times[:n].tolist(), banks[:n].tolist(), rows[:n].tolist()
+        ):
+            access(t, b, r)
+            # The cursor moves only after the serve, so an epoch tap
+            # firing inside ``access`` still sees this access pending.
+            cursors[b] += 1
+        return n
 
     # -- injection ---------------------------------------------------------
 
@@ -347,31 +345,13 @@ class SessionCore:
             raise ValueError(
                 f"injected rows out of range for bank with {n_rows} rows"
             )
-        if self._banked:
-            c = self._cursors[bank]
-            pending_t = self._bank_times[bank][c:]
-            pending_r = self._bank_rows[bank][c:]
-            cat_t = np.concatenate([pending_t, times])
-            cat_r = np.concatenate([pending_r, rows])
-            new_order = np.argsort(cat_t, kind="stable")
-            self._bank_times[bank] = cat_t[new_order]
-            self._bank_rows[bank] = cat_r[new_order]
-            self._cursors[bank] = 0
-        else:
-            c = self._m_cursor
-            cat_t = np.concatenate([self._m_times[c:], times])
-            cat_b = np.concatenate(
-                [self._m_banks[c:], np.full(len(rows), bank, dtype=np.int64)]
-            )
-            cat_r = np.concatenate([self._m_rows[c:], rows])
-            new_order = np.argsort(cat_t, kind="stable")
-            self._m_times = cat_t[new_order]
-            self._m_banks = cat_b[new_order]
-            self._m_rows = cat_r[new_order]
-            self._m_times_list = self._m_times.tolist()
-            self._m_banks_list = self._m_banks.tolist()
-            self._m_rows_list = self._m_rows.tolist()
-            self._m_cursor = 0
+        c = self._cursors[bank]
+        cat_t = np.concatenate([self._bank_times[bank][c:], times])
+        cat_r = np.concatenate([self._bank_rows[bank][c:], rows])
+        new_order = np.argsort(cat_t, kind="stable")
+        self._bank_times[bank] = cat_t[new_order]
+        self._bank_rows[bank] = cat_r[new_order]
+        self._cursors[bank] = 0
         return len(times)
 
     # -- metrics -----------------------------------------------------------
@@ -386,12 +366,9 @@ class SessionCore:
         last = 0.0
         if self.interval < 0:
             return last
-        if self._banked:
-            for c, t in zip(self._cursors, self._bank_times):
-                if c > 0:
-                    last = max(last, float(t[c - 1]))
-        elif self._m_cursor > 0:
-            last = float(self._m_times_list[self._m_cursor - 1])
+        for c, t in zip(self._cursors, self._bank_times):
+            if c > 0:
+                last = max(last, float(t[c - 1]))
         # Served accesses of *earlier* intervals imply at least the
         # epoch base even if the current interval has not started.
         if self.accesses_served:
@@ -423,36 +400,25 @@ class SessionCore:
     def to_state(self) -> dict:
         """JSON-serializable capture of the whole loop state.
 
-        Pending streams are stored as their *unserved suffix* verbatim
-        (injections included), cursors reset to zero; the arrival RNG
-        state covers every not-yet-generated interval.  Quarter-ns-grid
-        floats round-trip exactly through JSON.
+        Pending streams are stored per bank as their *unserved suffix*
+        verbatim (injections included), cursors reset to zero; the
+        arrival RNG state covers every not-yet-generated interval.
+        Quarter-ns-grid floats round-trip exactly through JSON.  The
+        layout is engine-independent, so either engine can resume it.
         """
         doc: dict = {
-            "engine": self.engine,
             "interval": self.interval,
             "position_ns": self.position_ns(),
             "rng": {"pcg64": self.arrival_rng.bit_generator.state},
             "memory": self.memory.to_state(),
         }
         if self.interval >= 0:
-            if self._banked:
-                doc["streams"] = [
-                    {
-                        "times": t[c:].tolist(),
-                        "rows": r[c:].tolist(),
-                    }
-                    for t, r, c in zip(
-                        self._bank_times, self._bank_rows, self._cursors
-                    )
-                ]
-            else:
-                c = self._m_cursor
-                doc["streams"] = {
-                    "times": self._m_times[c:].tolist(),
-                    "banks": self._m_banks[c:].tolist(),
-                    "rows": self._m_rows[c:].tolist(),
-                }
+            doc["streams"] = [
+                {"times": t[c:].tolist(), "rows": r[c:].tolist()}
+                for t, r, c in zip(
+                    self._bank_times, self._bank_rows, self._cursors
+                )
+            ]
         return doc
 
     @classmethod
@@ -465,38 +431,25 @@ class SessionCore:
         state: dict,
         trace_key_doc: dict | None = None,
     ) -> "SessionCore":
-        """Rebuild a core captured by :meth:`to_state` (same spec)."""
+        """Rebuild a core captured by :meth:`to_state` (same spec, any
+        engine)."""
         core = cls(sim, label, full_intensity, rows_fn, trace_key_doc)
-        if state["engine"] != core.engine:
-            raise ValueError(
-                f"snapshot was taken on the {state['engine']!r} engine, "
-                f"spec selects {core.engine!r}"
-            )
         core.arrival_rng.bit_generator.state = state["rng"]["pcg64"]
         core.memory.restore_state(state["memory"])
         core.interval = int(state["interval"])
         core._position_floor = float(state.get("position_ns", 0.0))
         if core.interval >= 0:
             streams = state["streams"]
-            if core._banked:
-                if len(streams) != core.n_banks:
-                    raise ValueError(
-                        f"snapshot carries {len(streams)} bank streams, "
-                        f"spec simulates {core.n_banks}"
-                    )
-                core._bank_times = [
-                    np.asarray(s["times"], dtype=np.float64) for s in streams
-                ]
-                core._bank_rows = [
-                    np.asarray(s["rows"], dtype=np.int64) for s in streams
-                ]
-                core._cursors = [0] * core.n_banks
-            else:
-                core._m_times = np.asarray(streams["times"], dtype=np.float64)
-                core._m_banks = np.asarray(streams["banks"], dtype=np.int64)
-                core._m_rows = np.asarray(streams["rows"], dtype=np.int64)
-                core._m_times_list = core._m_times.tolist()
-                core._m_banks_list = core._m_banks.tolist()
-                core._m_rows_list = core._m_rows.tolist()
-                core._m_cursor = 0
+            if len(streams) != core.n_banks:
+                raise ValueError(
+                    f"snapshot carries {len(streams)} bank streams, "
+                    f"spec simulates {core.n_banks}"
+                )
+            core._bank_times = [
+                np.asarray(s["times"], dtype=np.float64) for s in streams
+            ]
+            core._bank_rows = [
+                np.asarray(s["rows"], dtype=np.int64) for s in streams
+            ]
+            core._cursors = [0] * core.n_banks
         return core

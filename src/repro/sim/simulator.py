@@ -40,11 +40,7 @@ from repro.core import make_scheme
 from repro.dram.config import REFRESH_INTERVAL_S, SystemConfig
 from repro.energy.cmrpo import compute_cmrpo
 from repro.sim.metrics import SimulationResult
-# _merge_streams stays importable from here (tests and older callers
-# address it via this module); its implementation moved to the session
-# core alongside the loop it serves.
 from repro.sim.session import SessionCore
-from repro.sim.session import merge_streams as _merge_streams  # noqa: F401
 from repro.workloads.attacks import AttackKernel, attack_stream, get_kernel
 from repro.workloads.suites import WorkloadSpec
 

@@ -6,9 +6,9 @@ ISSUE-3 kept these shims alive for one release behind
 ``AttributeError``) instead of silently doing something, and the
 canonical spec paths stay free of deprecation warnings.  The retired
 ``jit`` engine is pinned the same way: every surface that names an
-engine rejects it with an error listing the engines that remain.  CI
-runs this file as its own job so a future PR cannot quietly resurrect
-a shim.
+engine rejects it with an error listing the engines that remain.  The
+tier-1 suite collects this file on every CI leg, so a future change
+cannot quietly resurrect a shim.
 """
 
 import json

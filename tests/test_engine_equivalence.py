@@ -14,6 +14,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.prng import CountingPRNG, TrueRandomPRNG
 from repro.core.registry import scheme_names
@@ -21,6 +23,7 @@ from repro.dram.config import DUAL_CORE_2CH
 from repro.experiments import ExperimentSpec, SchemeSpec
 from repro.experiments.run import run_spec
 from repro.sim.runner import simulate_attack, simulate_workload
+from repro.sim.session import SessionCore
 from repro.sim.simulator import TraceDrivenSimulator
 from repro.workloads.suites import get_workload
 
@@ -131,33 +134,118 @@ def test_runner_plumbs_engine():
     assert r1.totals == r2.totals
 
 
-def test_memory_system_merged_batch_api():
-    """`MemorySystem.access_batch` equals the per-event access loop."""
-    from repro.core import make_scheme
-    from repro.dram.config import SystemConfig
-    from repro.dram.memory_system import MemorySystem
-    from repro.sim.engine import quantize_times_ns
+# -- engine-level differential: banks, epochs, pauses ------------------------
 
-    config = SystemConfig(rows_per_bank=4096)
-    rng = np.random.default_rng(11)
-    n = 4000
-    times = quantize_times_ns(np.sort(rng.uniform(0, 5e6, size=n)))
-    banks = rng.integers(0, 4, size=n)
-    rows = rng.integers(0, 4096, size=n)
+#: Spec of the drawn-stream differential: 1 ms epochs (scale 64) and a
+#: simulated threshold of 32, so a few hundred hot-row accesses per bank
+#: refresh, split and merge.
+DIFF_SPEC = ExperimentSpec(
+    scheme=SchemeSpec("sca"), scale=64.0, refresh_threshold=2048,
+    n_banks=4, n_intervals=1,
+)
+DIFF_EPOCH_NS = 1e6
+#: Arrivals sit on a 12.5 ns grid (50 quanta) near each epoch start, so
+#: banks tie on timestamps and some accesses land exactly on a boundary.
+DIFF_STEP_NS = 12.5
 
-    def build():
-        return MemorySystem(
-            config,
-            lambda n_rows: make_scheme("drcat", n_rows, 256),
-            epoch_s=1e-3,
+
+@st.composite
+def _drawn_case(draw):
+    """Per-bank streams over three epochs, plus pause cuts.
+
+    Each bank draws a size; a drawn seed fills in the arrivals: an
+    epoch, a slot on the 12.5 ns grid near its start (slot 0 is the
+    boundary itself) and a row from a small hot set shared by all banks.
+    """
+    n_banks = draw(st.integers(1, 4))
+    sizes = draw(st.lists(
+        st.sampled_from((0, 1, 40)) | st.integers(200, 600),
+        min_size=n_banks, max_size=n_banks,
+    ))
+    n_hot = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hot = rng.integers(0, 65536, size=n_hot)
+    streams = []
+    for n in sizes:
+        times = np.sort(
+            rng.integers(0, 3, size=n) * DIFF_EPOCH_NS
+            + rng.integers(0, 41, size=n) * DIFF_STEP_NS
         )
+        streams.append((times, rng.choice(hot, size=n).astype(np.int64)))
+    cuts = draw(st.lists(
+        st.tuples(
+            st.none() | st.builds(
+                lambda e, k: e * DIFF_EPOCH_NS + k * DIFF_STEP_NS,
+                st.integers(0, 3), st.integers(0, 40),
+            ),
+            st.none() | st.integers(0, 400),
+        ),
+        max_size=6,
+    ))
+    return streams, cuts
 
-    scalar = build()
-    for t, b, r in zip(times.tolist(), banks.tolist(), rows.tolist()):
-        scalar.access(t, b, r)
-    batched = build()
-    batched.access_batch(times, banks, rows)
-    assert _fingerprint(scalar) == _fingerprint(batched)
+
+def _drawn_core(kind: str, engine: str, streams) -> SessionCore:
+    """A core whose one loaded interval is exactly ``streams``."""
+    params = {"probability": 0.02} if kind == "pra" else {}
+    spec = dataclasses.replace(
+        DIFF_SPEC, scheme=SchemeSpec.create(kind, **params), engine=engine,
+        n_banks=len(streams),
+    )
+    sim = TraceDrivenSimulator(spec)
+    assert sim.epoch_s * 1e9 == DIFF_EPOCH_NS
+    core = SessionCore(sim, "drawn", 0.0, lambda bank, interval: None)
+    core.interval = 0
+    core._install_streams(streams)
+    return core
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(case=_drawn_case())
+def test_engines_match_plain_access_loop_under_pauses(kind, case):
+    """Scalar and batched cores, paused at drawn cuts, end bit-identical
+    to a plain ``memory.access`` loop over the merged stream.
+
+    The loop merges in ``(time, bank)`` order with Python's stable sort,
+    so each bank keeps its own order on ties.  Banks are independent
+    between epoch boundaries, so neither engine needs the merged order
+    to reach the same state.
+    """
+    streams, cuts = case
+    events = sorted(
+        (
+            (t, bank, r)
+            for bank, (times, rows) in enumerate(streams)
+            for t, r in zip(times.tolist(), rows.tolist())
+        ),
+        key=lambda e: (e[0], e[1]),
+    )
+    oracle = _drawn_core(kind, "scalar", streams).memory
+    for t, bank, row in events:
+        oracle.access(t, bank, row)
+    expected = _fingerprint(oracle)
+
+    for engine in ("scalar", "batched"):
+        core = _drawn_core(kind, engine, streams)
+        served = 0
+        for until_ns, max_accesses in cuts:
+            # Each call serves every pending access before ``until_ns``,
+            # up to ``max_accesses`` of them.
+            bound = np.inf if until_ns is None else until_ns
+            due = sum(
+                int(np.count_nonzero(times[c:] < bound))
+                for times, c in zip(core._bank_times, core._cursors)
+            )
+            if max_accesses is not None:
+                due = min(due, max_accesses)
+            n = core.advance(until_ns=until_ns, max_accesses=max_accesses)
+            assert n == due, (engine, until_ns, max_accesses)
+            served += n
+        served += core.advance()
+        assert core.done
+        assert served == len(events)
+        assert _fingerprint(core.memory) == expected, (engine, kind)
 
 
 def test_batched_access_batch_rejects_bad_rows():
@@ -225,13 +313,19 @@ def test_fuzzed_specs_bit_identical(scheme):
 @pytest.mark.parametrize("mode", ("session", "checkpoint"))
 @pytest.mark.parametrize("scheme", ("drcat", "ccache", "sca"))
 def test_batched_session_modes_match_direct(scheme, mode, monkeypatch):
-    """Streaming and checkpoint/restore round-trips on the batched engine."""
+    """A streaming session, and a checkpoint/restore round-trip, on the
+    batched engine."""
+    from repro.api import Session
+
     spec = ExperimentSpec(
         scheme=SchemeSpec(scheme), workload="mum", engine="batched",
         scale=64.0, n_banks=2, n_intervals=3,
     )
     monkeypatch.setenv("REPRO_SESSION_MODE", "direct")
     direct = run_spec(spec)
-    monkeypatch.setenv("REPRO_SESSION_MODE", mode)
-    routed = run_spec(spec)
+    if mode == "session":
+        routed = Session(spec).result()
+    else:
+        monkeypatch.setenv("REPRO_SESSION_MODE", mode)
+        routed = run_spec(spec)
     assert routed.to_dict() == direct.to_dict()

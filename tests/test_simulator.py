@@ -5,9 +5,9 @@ import pytest
 
 from repro.dram.config import DUAL_CORE_2CH, SystemConfig
 from repro.experiments import ExperimentSpec, SchemeSpec
+from repro.sim.session import merge_streams
 from repro.sim.simulator import (
     TraceDrivenSimulator,
-    _merge_streams,
     _phase_segments,
     baseline_execution_time_ns,
     scaled_threshold,
@@ -55,31 +55,31 @@ class TestMergeStreams:
     def test_sorted_by_time(self):
         a = (np.array([5.0, 10.0]), np.array([1, 2]))
         b = (np.array([1.0, 7.0]), np.array([3, 4]))
-        times, _banks, _rows = _merge_streams([a, b])
+        times, _banks, _rows = merge_streams([a, b])
         assert list(times) == [1.0, 5.0, 7.0, 10.0]
 
     def test_bank_tags(self):
         a = (np.array([1.0]), np.array([42]))
         b = (np.array([2.0]), np.array([43]))
-        times, banks, rows = _merge_streams([a, b])
+        times, banks, rows = merge_streams([a, b])
         assert list(banks) == [0, 1]
         assert list(rows) == [42, 43]
 
     def test_integer_dtypes(self):
         """Bank and row ids never round-trip through float64."""
         a = (np.array([1.0]), np.array([42], dtype=np.int64))
-        _times, banks, rows = _merge_streams([a])
+        _times, banks, rows = merge_streams([a])
         assert banks.dtype == np.int64
         assert rows.dtype == np.int64
 
     def test_stable_for_tied_times(self):
         a = (np.array([5.0]), np.array([1]))
         b = (np.array([5.0]), np.array([2]))
-        _times, banks, _rows = _merge_streams([a, b])
+        _times, banks, _rows = merge_streams([a, b])
         assert list(banks) == [0, 1]
 
     def test_empty(self):
-        times, banks, rows = _merge_streams([])
+        times, banks, rows = merge_streams([])
         assert len(times) == len(banks) == len(rows) == 0
 
 
