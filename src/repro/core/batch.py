@@ -31,6 +31,15 @@ counter's next trigger is re-found.  A split, merge or DRCAT refresh
 changes the generation — ids, budgets, blocked flags and counts may all
 have moved — and the rest of the window is gathered afresh.
 
+Most failed harvests never reach a replay.  When a popped trigger is a
+harvest attempt whose gate (:meth:`CounterTree._harvest_gate`) lies
+below the tree's cold-pair floor, the scalar scan is certain to return
+nothing, so the queue settles the attempt in place: it parks the
+counter, leaves the hit in the pending bulk prefix and re-queues the
+counter's refresh trigger.  The count at the trigger is known without
+applying the prefix: it is the gathered count plus the counter's
+occurrences up to the trigger.
+
 Headroom may be *conservative* (too small) without breaking exactness:
 a queued position whose scalar replay turns out not to be an event
 simply costs one extra scalar call.  It must never be optimistic.
@@ -67,7 +76,8 @@ def counter_scheme_access_batch(
     Processes windows of accesses against the tree's row-block index
     map.  Each gather queues the trigger position of every counter whose
     remaining hits reach its headroom; events replay through the
-    scheme's scalar ``access`` (the oracle) in stream order and the
+    scheme's scalar ``access`` (the oracle) in stream order, except
+    harvests certain to fail, which are settled in place, and the
     event-free stretches between them apply via
     :meth:`CounterTree.apply_bulk_counts`.  Returns ``(position,
     commands)`` pairs for every access that emitted commands, in stream
@@ -79,6 +89,9 @@ def counter_scheme_access_batch(
     check_rows(rows, scheme.n_rows)
     tree = scheme.tree
     n_bins = tree.n_counters
+    t = tree.thresholds.refresh_threshold
+    top = tree.max_levels - 1
+    blocked = tree._harvest_blocked
     events: list[tuple[int, list["RefreshCommand"]]] = []
     scalar_calls = 0
     for base in range(0, n, BATCH_WINDOW):
@@ -89,9 +102,14 @@ def counter_scheme_access_batch(
             # and one trigger per crossing counter.  ``order`` lists each
             # counter's occurrences contiguously, in stream order, ending
             # before ``end[c]``; a queue entry ``(pos, c, k)`` is the
-            # access at ``order[k]``.
+            # access at ``order[k]``, where ``c``'s count is ``off[c] + k``.
             ids = tree.map_rows_to_counters(chunk[start:])
             generation = tree._generation()
+            harvesting = (
+                tree.track_weights
+                and tree._harvest_budget > 0
+                and not tree._free_counters
+            )
             counts = np.bincount(ids, minlength=n_bins)
             headroom = tree._headroom()
             crossing = (counts >= headroom).nonzero()[0]
@@ -100,6 +118,7 @@ def counter_scheme_access_batch(
                 order = np.argsort(ids, kind="stable")
                 end = np.cumsum(counts)
                 trigger = (end - counts + headroom - 1)[crossing]
+                off = (np.asarray(tree._count) + counts - end + 1).tolist()
                 end = end.tolist()
                 queue = list(
                     zip(order[trigger].tolist(), crossing.tolist(), trigger.tolist())
@@ -108,15 +127,31 @@ def counter_scheme_access_batch(
             applied = 0
             while queue:
                 pos, c, k = heapq.heappop(queue)
-                tree.apply_bulk_counts(np.bincount(ids[applied:pos], minlength=n_bins))
-                cmds = scheme.access(int(chunk[start + pos]))
-                scalar_calls += 1
-                if cmds:
-                    events.append((base + start + pos, cmds))
-                applied = pos + 1
-                if tree._generation() != generation:
-                    break  # re-gather the rest of the window
-                k += tree._headroom_of(c)
+                count = off[c] + k
+                if (
+                    harvesting
+                    and not blocked[c]
+                    and tree._level[c] < top
+                    and count < t
+                    and tree._harvest_gate(c, count) < tree._cold_floor
+                ):
+                    # A harvest certain to fail (an unblocked counter below
+                    # max level triggers at its split threshold or later):
+                    # park ``c``, keep the hit in the bulk prefix; its next
+                    # event is a refresh.
+                    blocked[c] = True
+                    k += t - count
+                else:
+                    tree.apply_bulk_counts(np.bincount(ids[applied:pos], minlength=n_bins))
+                    cmds = scheme.access(int(chunk[start + pos]))
+                    scalar_calls += 1
+                    if cmds:
+                        events.append((base + start + pos, cmds))
+                    applied = pos + 1
+                    if tree._generation() != generation:
+                        break  # re-gather the rest of the window
+                    off[c] = tree._count[c] - k
+                    k += tree._headroom_of(c)
                 if k < end[c]:
                     heapq.heappush(queue, (int(order[k]), c, k))
             else:

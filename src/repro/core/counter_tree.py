@@ -179,6 +179,9 @@ class CounterTree:
         # newly hot one of its harvest attempt.
         self._harvest_blocked = [False] * m
         self._harvest_budget = HARVEST_BUDGET_PER_REFRESH
+        # Cold-pair floor: a lower bound on the merged count of every
+        # mergeable pair (see ``_find_cold_pair``); 0 is always valid.
+        self._cold_floor = 0
         # Batched fast path: the row_block -> counter index map is built
         # lazily, updated in place on splits/merges, and dropped here on
         # reset.  ``_map_version`` lets batch callers detect that ids
@@ -234,6 +237,7 @@ class CounterTree:
         if count >= self.thresholds.refresh_threshold:
             # Refresh the counter's rows plus both adjacent rows.
             self._count[idx] = 0
+            self._cold_floor = 0
             cmd = RefreshCommand(self._low[idx] - 1, self._high[idx] + 1)
             self.total_refresh_commands += 1
             self.total_rows_refreshed += cmd.row_count(self.n_rows)
@@ -257,22 +261,8 @@ class CounterTree:
                 and not self._harvest_blocked[idx]
                 and self._harvest_budget > 0
             ):
-                # DRCAT: free a counter by merging the coldest pair.  The
-                # victim must carry less than half the requester's count:
-                # under uniform access every sibling pair holds about half
-                # the requester's count, so harvesting self-extinguishes
-                # (CAT then behaves like SCA, as the paper requires),
-                # while under skew/drift cold victims pass easily.  A
-                # counter whose weight reached 2 was just refreshed
-                # repeatedly — certified hot — so it gets the fully
-                # permissive gate (any victim count below T is safe from
-                # an immediate refresh) instead of its post-refresh
-                # restart count, which would deadlock against stale
-                # victim counts until the next blanket refresh.
-                if self._weight[idx] >= 2:
-                    gate = self.thresholds.refresh_threshold - 1
-                else:
-                    gate = max(1, count // 2)
+                # DRCAT: free a counter by merging the coldest pair.
+                gate = self._harvest_gate(idx, count)
                 if self.reconfigure(idx, count_gate=gate):
                     self._harvest_budget -= 1
                 else:
@@ -282,12 +272,33 @@ class CounterTree:
                     self._harvest_blocked[idx] = True
         return None
 
+    def _harvest_gate(self, idx: int, count: int) -> int:
+        """The merged count a harvest victim of counter ``idx`` may carry.
+
+        The victim must carry less than half the requester's ``count``:
+        under uniform access every sibling pair holds about half the
+        requester's count, so harvesting self-extinguishes (CAT then
+        behaves like SCA, as the paper requires), while under skew/drift
+        cold victims pass easily.  A counter whose weight reached 2 was
+        just refreshed repeatedly — certified hot — so it gets the fully
+        permissive gate (any victim count below T is safe from an
+        immediate refresh) instead of its post-refresh restart count,
+        which would deadlock against stale victim counts until the next
+        blanket refresh.
+        """
+        if self._weight[idx] >= 2:
+            return self.thresholds.refresh_threshold - 1
+        return max(1, count // 2)
+
     def _split(self, idx: int, row: int) -> None:
         """Split leaf ``idx``; ``row`` locates its parent slot."""
         if not self._free_counters:
             # Guard: callers check the free list before splitting; an
             # empty pool here simply means nothing to do.
             return
+        # A split (which also ends every merge) can create a mergeable
+        # pair or lower a merged count: drop the cold-pair floor.
+        self._cold_floor = 0
         new = self._free_counters.pop()
         self._n_active += 1
         low, high = self._low[idx], self._high[idx]
@@ -358,10 +369,13 @@ class CounterTree:
     # ``_map_version``; ``reset`` drops it for lazy rebuild from the
     # partition.  The batch path's event queue (see
     # :mod:`repro.core.batch`) re-gathers whenever ``_generation()``
-    # moves; between those it
-    # only re-finds the replayed counter's trigger via ``_headroom_of``,
-    # the per-counter form of ``_headroom`` (the two are pinned equal by
-    # ``tests/test_batch_queue.py``).
+    # moves; between those it only re-finds the replayed counter's
+    # trigger via ``_headroom_of``, the per-counter form of ``_headroom``
+    # (the two are pinned equal by ``tests/test_batch_queue.py``).  A
+    # harvest attempt whose ``_harvest_gate`` is below ``_cold_floor``
+    # is certain to fail: the queue settles it in place (parks the
+    # counter, keeps the hit in the bulk prefix) without a replay.  The
+    # same test pins the floor below the true minimum merged count.
 
     def _build_index_map(self) -> None:
         block_bits = self.max_levels - 1
@@ -500,6 +514,18 @@ class CounterTree:
             elif self._weight[i] > 0:
                 self._weight[i] -= 1
 
+    def decay_epoch(self) -> None:
+        """DRCAT epoch boundary: counts restart, weights decay one step.
+
+        The shape is kept; every counter may try a harvest again.
+        """
+        for i in range(self.n_counters):
+            self._count[i] = 0
+            if self._weight[i] > 0:
+                self._weight[i] -= 1
+            self._harvest_blocked[i] = False
+        self._cold_floor = 0
+
     def weight_saturated(self, idx: int) -> bool:
         """True when counter ``idx``'s weight register is at its cap."""
         return self._weight[idx] >= WEIGHT_MAX
@@ -586,6 +612,14 @@ class CounterTree:
         (the hot counter) may not be one of the merged leaves.  Ties on
         the merged count break toward the lowest inode index, a total
         order independent of traversal history.
+
+        A gate below the cold-pair floor ``_cold_floor`` fails at once.
+        Every full scan stores as the new floor the smallest merged count
+        over *all* mergeable pairs (``exclude``'s included; ``T`` when
+        there is none).  Between the events that drop the floor to 0 (a
+        refresh, a split, an epoch decay, ``reset``, ``restore_state``)
+        counts only rise and no weight falls to 0, so pairs only vanish
+        and a stale floor is too low, never too high.
         """
         if self._root_is_leaf:
             return None
@@ -600,8 +634,11 @@ class CounterTree:
         # cold keep their stale counts until the next blanket refresh.)
         ceiling = self.thresholds.refresh_threshold - 1
         count_gate = ceiling if count_gate is None else min(ceiling, count_gate)
+        if count_gate < self._cold_floor:
+            return None
         count, weight, level = self._count, self._weight, self._level
         best, best_count = _NO_NODE, count_gate + 1
+        floor = self.thresholds.refresh_threshold
         # Ascending inode order with a strict ``<`` keeps the lowest
         # inode index on a merged-count tie.
         for inode, (active, leaf_l, leaf_r, left, right) in enumerate(
@@ -615,13 +652,14 @@ class CounterTree:
         ):
             if not (active and leaf_l and leaf_r):
                 continue
-            if left == exclude or right == exclude or weight[left] or weight[right]:
-                continue
-            if level[left] < min_child_level:
+            if weight[left] or weight[right] or level[left] < min_child_level:
                 continue
             merged = max(count[left], count[right])
-            if merged < best_count:
+            if merged < floor:
+                floor = merged
+            if merged < best_count and left != exclude and right != exclude:
                 best, best_count = inode, merged
+        self._cold_floor = floor
         if best == _NO_NODE:
             return None
         parent, slot_right = self._parent_of_inode(best)
@@ -746,6 +784,7 @@ class CounterTree:
         # registers; bump the version so stale gathered ids re-gather.
         self._index_map = None
         self._map_version += 1
+        self._cold_floor = 0
         self.check_invariants()
 
     # ------------------------------------------------------------------

@@ -101,13 +101,7 @@ class DRCATScheme(MitigationScheme):
         DRCAT deliberately carries across epochs.  Weights decay one step
         so regions that stopped being hot become merge candidates again.
         """
-        tree = self.tree
-        for i in range(tree.n_counters):
-            tree._count[i] = 0
-            if tree._weight[i] > 0:
-                tree._weight[i] -= 1
-        for i in range(tree.n_counters):
-            tree._harvest_blocked[i] = False
+        self.tree.decay_epoch()
         self.stats.resets += 1
 
     def to_state(self) -> dict:

@@ -7,8 +7,10 @@ refreshes).  These tests drive PRCAT/DRCAT ``access_batch`` and a twin
 scheme looping ``access`` over skewed, drifting streams longer than one
 window, on trees small enough that the counter pool exhausts and
 harvest storms occur, and require identical events, tree registers and
-statistics.  They also pin ``_find_cold_pair``'s merge-victim selection
-on hand-built trees.
+statistics.  The scalar twin also pins the tree's cold-pair floor at or
+below the true minimum merged count at every step, across epoch
+boundaries and a restore.  They also pin ``_find_cold_pair``'s
+merge-victim selection on hand-built trees.
 """
 
 import numpy as np
@@ -37,8 +39,24 @@ def skewed_stream(seed, n, n_hot, hot_fraction):
     return rows
 
 
+def brute_min_merged(tree):
+    """Smallest merged count over every mergeable pair (``T`` if none).
+
+    The eligibility filters of ``_find_cold_pair``: two zero-weight leaf
+    siblings at level >= ``presplit_levels``; no pair is excluded.
+    """
+    merged = [
+        max(tree._count[left], tree._count[right])
+        for left, right in pairs(tree).values()
+        if not (tree._weight[left] or tree._weight[right])
+        and tree._level[left] >= tree.thresholds.presplit_levels
+    ]
+    return min(merged, default=tree.thresholds.refresh_threshold)
+
+
 def scalar_twin(scheme, rows):
-    """Loop the scalar oracle; pin the per-counter headroom rule.
+    """Loop the scalar oracle; pin the per-counter headroom rule and the
+    cold-pair floor (never above the true minimum merged count).
 
     Returns the ``(position, commands)`` events plus, per window, the
     positions of failed harvests and of refreshes.
@@ -48,6 +66,7 @@ def scalar_twin(scheme, rows):
     tree.map_rows_to_counters(rows[:1])
     events, failed, refreshed = [], [], []
     for i, row in enumerate(rows.tolist()):
+        assert tree._cold_floor <= brute_min_merged(tree), i
         headroom = tree._headroom()
         for c in range(tree.n_counters):
             if tree._counter_active[c]:
@@ -61,18 +80,35 @@ def scalar_twin(scheme, rows):
             refreshed.append(i)
         elif sum(tree._harvest_blocked) > blocked:
             failed.append(i)
+    assert tree._cold_floor <= brute_min_merged(tree)
     return events, failed, refreshed
 
 
+def count_replays(scheme):
+    """Count the scalar ``access`` calls the batch path makes on ``scheme``."""
+    calls = []
+    access = scheme.access
+
+    def counted(row):
+        calls.append(row)
+        return access(row)
+
+    scheme.access = counted
+    return calls
+
+
 def assert_batch_matches_scalar(cls, rows, t, m):
+    """Returns the twin's failed harvests and refreshes, and the batched
+    scheme's scalar replays."""
     batched = cls(N_ROWS, t, n_counters=m, max_levels=MAX_LEVELS)
     twin = cls(N_ROWS, t, n_counters=m, max_levels=MAX_LEVELS)
+    replays = count_replays(batched)
     got = batched.access_batch(rows)
     want, failed, refreshed = scalar_twin(twin, rows)
     assert got == want
     assert batched.tree.to_state() == twin.tree.to_state()
     assert batched.stats.snapshot() == twin.stats.snapshot()
-    return failed, refreshed
+    return failed, refreshed, replays
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -93,14 +129,53 @@ def test_access_batch_matches_scalar_loop(
 
 
 def test_failed_harvest_then_refresh_in_one_window():
-    """The queue survives failed harvests and re-gathers on a refresh."""
+    """The queue survives failed harvests and re-gathers on a refresh;
+    it settles most failed harvests in place, without a replay."""
     rows = skewed_stream(0, 3 * BATCH_WINDOW, 4, 0.6)
-    failed, refreshed = assert_batch_matches_scalar(DRCATScheme, rows, 64, 8)
+    failed, refreshed, replays = assert_batch_matches_scalar(
+        DRCATScheme, rows, 64, 8
+    )
     assert any(
         f < r and f // BATCH_WINDOW == r // BATCH_WINDOW
         for f in failed
         for r in refreshed
     )
+    assert len(replays) < len(failed)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n_chunks=st.integers(3, 6),
+    hot_fraction=st.sampled_from([0.5, 0.7, 0.9]),
+    t=st.sampled_from([32, 64]),
+    m=st.sampled_from([8, 16]),
+)
+def test_epochs_and_restore_match_scalar_loop(seed, n_chunks, hot_fraction, t, m):
+    """Epoch decays and a mid-run restore cross the floor's resets.
+
+    Both sides end every chunk with ``on_interval_boundary()``; midway,
+    each round-trips ``to_state`` into a scheme that has already run, so
+    a floor left over from that scheme's own history would show.
+    """
+    rows = skewed_stream(seed, 2 * BATCH_WINDOW, 4, hot_fraction)
+
+    def scheme():
+        return DRCATScheme(N_ROWS, t, n_counters=m, max_levels=MAX_LEVELS)
+
+    batched, twin = scheme(), scheme()
+    for i, chunk in enumerate(np.array_split(rows, n_chunks)):
+        if i == n_chunks // 2:
+            ran = [scheme(), scheme()]
+            for other in ran:
+                other.access_batch(skewed_stream(seed + 1, BATCH_WINDOW, 2, 0.9))
+            ran[0].restore_state(batched.to_state())
+            ran[1].restore_state(twin.to_state())
+            batched, twin = ran
+        assert batched.access_batch(chunk) == scalar_twin(twin, chunk)[0]
+        assert batched.to_state() == twin.to_state()
+        batched.on_interval_boundary()
+        twin.on_interval_boundary()
 
 
 # ---------------------------------------------------------------------------
@@ -198,3 +273,15 @@ class TestFindColdPair:
         tree._count[by_inode[cold][1]] = 2
         assert tree._find_cold_pair(exclude=-1, count_gate=12)[0] == cold
         assert tree._find_cold_pair(exclude=-1, count_gate=11) is None
+
+    def test_split_drops_the_floor(self, indexed):
+        # A failed scan raises the floor to the smallest merged count
+        # (40); a split then creates a colder zero-weight pair.
+        tree = pair_tree(indexed, split=(0, 1, 2))
+        assert tree._find_cold_pair(exclude=-1, count_gate=30) is None
+        assert tree._cold_floor == 40
+        tree._count[3] = 5  # pre-split leaf, in no mergeable pair
+        tree._split(3, tree._low[3])
+        assert tree._cold_floor <= brute_min_merged(tree) == 5
+        chosen = tree._find_cold_pair(exclude=-1, count_gate=30)[0]
+        assert 3 in pairs(tree)[chosen]
