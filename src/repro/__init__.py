@@ -8,7 +8,6 @@ schemes — together with every substrate the evaluation depends on:
 * :mod:`repro.core` — CAT tree, PRCAT, DRCAT, and the SCA / PRA baselines.
 * :mod:`repro.dram` — a DDR3-style bank/channel substrate with targeted
   refresh and bank-blocking accounting.
-* :mod:`repro.cpu` — USIMM-style trace records and a ROB-limited front end.
 * :mod:`repro.workloads` — synthetic generators for the 18 Memory
   Scheduling Championship workloads and the 12 kernel rowhammer attacks.
 * :mod:`repro.energy` — the Table II hardware energy/area model and the

@@ -37,75 +37,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.analysis.cost_model import derive_split_thresholds
+
 #: Published split thresholds, keyed by (refresh_threshold, M, L).
 #: Values are for levels m-1 .. L-1 where m = log2(M).
 PAPER_THRESHOLDS: dict[tuple[int, int, int], tuple[int, ...]] = {
     (32768, 64, 10): (5155, 10309, 12886, 16384, 32768),
 }
-
-
-def _model_schedule(refresh_threshold: int, first_level: int, last_level: int) -> list[int]:
-    """Cost-balance schedule between ``first_level`` and ``last_level``.
-
-    The tail is pinned at ``T/2`` and ``T``.  The head starts the doubling
-    regime; interior levels grow by a smoothly decreasing ratio so the
-    schedule matches the published (T=32K, M=64, L=10) values closely.
-
-    The schedule for ``k = last_level - first_level + 1`` levels is built
-    backwards from the tail:
-
-    * ``T[last] = T``
-    * ``T[last-1] = T/2``
-    * remaining head levels are spaced so that the *first* ratio is 2
-      (the critical-bias tie condition) and intermediate ratios shrink
-      geometrically toward ~1.25, mirroring the published sequence
-      (ratios 2.0, 1.25, 1.27, 2.0 for the anchor configuration).
-    """
-    t = refresh_threshold
-    k = last_level - first_level + 1
-    if k <= 0:
-        return []
-    if k == 1:
-        return [t]
-    if k == 2:
-        return [t // 2, t]
-    # Head: levels first..last-2 (k-1 values ending at T/2).
-    # We want value[0]*2 == value[1] (tie condition) and the remaining
-    # ratios easing toward 5/4 as in the anchor sequence.
-    n_head = k - 1  # number of values up to and including T/2
-    values = [0.0] * n_head
-    values[-1] = t / 2
-    # Work backwards with ratios: last head gap uses ratio r_i that decays
-    # from 5/4 upward as we get closer to T/2, and the very first gap is 2.
-    ratios = _head_ratios(n_head)
-    for i in range(n_head - 2, -1, -1):
-        values[i] = values[i + 1] / ratios[i]
-    schedule = [int(round(v)) for v in values] + [t]
-    # Monotonicity guard (rounding could create ties on tiny T).
-    for i in range(1, len(schedule)):
-        if schedule[i] <= schedule[i - 1]:
-            schedule[i] = schedule[i - 1] + 1
-    return schedule
-
-
-def _head_ratios(n_head: int) -> list[float]:
-    """Ratios between consecutive head values (length ``n_head - 1``).
-
-    The first ratio is the tie-condition 2.0; subsequent ratios ease to
-    5/4 then drift slightly up, matching the anchor sequence
-    2.0, 1.25, 1.2715 (then the pinned final jump T/2 -> T of 2.0).
-    """
-    n_ratios = n_head - 1
-    if n_ratios <= 0:
-        return []
-    if n_ratios == 1:
-        return [2.0]
-    ratios = [2.0]
-    # Remaining ratios: geometric easing from 1.25 toward ~1.30.
-    for j in range(1, n_ratios):
-        frac = (j - 1) / max(1, n_ratios - 2) if n_ratios > 2 else 0.0
-        ratios.append(1.25 + 0.0215 * frac * (n_ratios - 1))
-    return ratios
 
 
 def _geometric_schedule(refresh_threshold: int, first_level: int, last_level: int) -> list[int]:
@@ -193,7 +131,11 @@ class SplitThresholds:
             for _ in range(m - presplit_levels):
                 values.insert(0, max(1, values[0] // 2))
         elif strategy == "model":
-            values = _model_schedule(refresh_threshold, first_level, last_level)
+            # The model depends only on T and the level span, so asking
+            # for M = 2**λ yields levels λ-1 .. L-1 for any λ <= log2(M).
+            values = derive_split_thresholds(
+                refresh_threshold, 1 << presplit_levels, max_levels
+            )
         elif strategy == "geometric":
             values = _geometric_schedule(refresh_threshold, first_level, last_level)
         else:

@@ -113,18 +113,22 @@ async def read_request(reader: asyncio.StreamReader,
         name, sep, value = line.partition(":")
         if not sep:
             raise HttpError(400, f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        # Optional whitespace around a field value is SP / HTAB only.
+        headers[name.strip().lower()] = value.strip(" \t")
     else:
         raise HttpError(400, "too many headers")
 
     body = b""
     if "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError:
-            raise HttpError(400, "invalid Content-Length") from None
-        if length < 0:
+        # ASCII digits only: int() would also take "+5", "1_0" or a
+        # form-feed-padded "\f5", none of which is a valid Content-Length.
+        raw_length = headers["content-length"]
+        if not (raw_length.isascii() and raw_length.isdigit()):
             raise HttpError(400, "invalid Content-Length")
+        try:
+            length = int(raw_length)
+        except ValueError:  # more digits than int() will parse
+            raise HttpError(400, "invalid Content-Length") from None
         if length > max_body:
             raise HttpError(413, f"request body exceeds {max_body} bytes")
         try:
@@ -136,7 +140,10 @@ async def read_request(reader: asyncio.StreamReader,
         raise HttpError(400, "chunked request bodies are not supported; "
                              "send Content-Length")
 
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError:  # e.g. an unclosed IPv6 bracket in the authority
+        raise HttpError(400, f"malformed request target: {target!r}") from None
     query = {k: v for k, v in parse_qsl(split.query, keep_blank_values=True)}
     return Request(
         method=method.upper(),

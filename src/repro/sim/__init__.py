@@ -13,7 +13,6 @@ from repro.sim.metrics import (
     format_table,
     mean_over,
 )
-from repro.sim.replay import ReplayResult, replay_trace, synthesize_trace
 from repro.sim.runner import (
     simulate_attack,
     simulate_workload,
@@ -40,7 +39,4 @@ __all__ = [
     "merge_streams",
     "TraceDrivenSimulator",
     "scaled_threshold",
-    "ReplayResult",
-    "replay_trace",
-    "synthesize_trace",
 ]

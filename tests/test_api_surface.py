@@ -31,13 +31,12 @@ class TestPublicAPI:
     def test_subpackage_exports(self):
         import repro.analysis as analysis
         import repro.core as core
-        import repro.cpu as cpu
         import repro.dram as dram
         import repro.energy as energy
         import repro.sim as sim
         import repro.workloads as workloads
 
-        for module in (analysis, core, cpu, dram, energy, sim, workloads):
+        for module in (analysis, core, dram, energy, sim, workloads):
             for name in module.__all__:
                 assert hasattr(module, name), (
                     f"{module.__name__} missing export {name}"

@@ -7,10 +7,14 @@ ISSUE-3 kept these shims alive for one release behind
 canonical spec paths stay free of deprecation warnings.  The retired
 ``jit`` engine is pinned the same way: every surface that names an
 engine rejects it with an error listing the engines that remain.  The
-tier-1 suite collects this file on every CI leg, so a future change
-cannot quietly resurrect a shim.
+USIMM-style trace-replay stack (ROB front end, address mapper, FR-FCFS
+controller) and the unused ``RefreshAccountant`` are pinned as deleted:
+their modules no longer import and their names are gone from the
+package namespaces.  The tier-1 suite collects this file on every CI
+leg, so a future change cannot quietly resurrect a shim.
 """
 
+import importlib
 import json
 import re
 import warnings
@@ -212,3 +216,32 @@ class TestJitEngineRemoved:
             assert VALID_ENGINES.search(job.error)
         finally:
             server.close()
+
+
+class TestTraceReplayStackRemoved:
+    """The ROB -> address map -> FR-FCFS replay path and the refresh
+    accountant are deleted; every run goes through the ``(time, row)``
+    stream path."""
+
+    @pytest.mark.parametrize("module", [
+        "repro.cpu",
+        "repro.dram.address",
+        "repro.dram.controller",
+        "repro.dram.refresh",
+        "repro.sim.replay",
+    ])
+    def test_module_is_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    @pytest.mark.parametrize("package, name", [
+        ("repro.sim", "replay_trace"),
+        ("repro.sim", "synthesize_trace"),
+        ("repro.dram", "MemoryController"),
+        ("repro.dram", "AddressMapper"),
+        ("repro.dram", "RefreshAccountant"),
+    ])
+    def test_name_is_gone(self, package, name):
+        module = importlib.import_module(package)
+        assert not hasattr(module, name)
+        assert name not in module.__all__

@@ -1,6 +1,4 @@
-"""Tests for refresh accounting and system configuration."""
-
-import pytest
+"""Tests for the Table I system configurations and DRAM timings."""
 
 from repro.dram.config import (
     DUAL_CORE_2CH,
@@ -8,52 +6,6 @@ from repro.dram.config import (
     NAMED_CONFIGS,
     QUAD_CORE_2CH,
 )
-from repro.dram.refresh import RefreshAccountant, intervals_in
-
-
-class TestRefreshAccountant:
-    def test_victim_rows_accumulate(self):
-        acc = RefreshAccountant(65536)
-        acc.record_victim_refresh(100)
-        acc.record_victim_refresh(30)
-        assert acc.victim_rows == 130
-        assert acc.commands == 2
-        assert acc.victim_energy_nj() == pytest.approx(130.0)
-
-    def test_interval_sealing(self):
-        acc = RefreshAccountant(65536)
-        acc.record_victim_refresh(100)
-        acc.close_interval()
-        acc.record_victim_refresh(40)
-        acc.close_interval()
-        assert acc.per_interval == [100, 40]
-        assert acc.mean_rows_per_interval() == 70.0
-
-    def test_mean_empty(self):
-        assert RefreshAccountant(64).mean_rows_per_interval() == 0.0
-
-    def test_power_computation(self):
-        acc = RefreshAccountant(65536)
-        acc.record_victim_refresh(64_000)
-        # 64k nJ over 64 ms = 1 mW
-        assert acc.victim_power_mw(0.064) == pytest.approx(1.0)
-
-    def test_power_requires_positive_time(self):
-        with pytest.raises(ValueError):
-            RefreshAccountant(64).victim_power_mw(0.0)
-
-    def test_rejects_negative_rows(self):
-        with pytest.raises(ValueError):
-            RefreshAccountant(64).record_victim_refresh(-1)
-
-    def test_reference_constants(self):
-        assert RefreshAccountant.regular_refresh_power_mw() == 2.5
-        assert RefreshAccountant.regular_refresh_energy_per_interval_nj(
-            65536
-        ) == pytest.approx(65536.0)
-
-    def test_intervals_in(self):
-        assert intervals_in(0.64) == pytest.approx(10.0)
 
 
 class TestSystemConfig:

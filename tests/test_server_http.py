@@ -2,19 +2,33 @@
 
 Covers the service-equivalence acceptance bar — results served over
 HTTP are byte-identical to the direct ``run_spec``/``run_plan`` paths —
-plus in-flight dedup, SSE delivery, and the error surface.
+plus in-flight dedup, SSE delivery, and the error surface.  The request
+parser itself is fuzzed over arbitrary byte streams: every stream
+parses, reads as a clean EOF, or is refused with a 4xx, and no input
+past a framing bound is buffered.
 """
 
+import asyncio
 import json
+import re
 import socket
 import time
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import ExperimentSpec, Plan, SchemeSpec, run_spec
 from repro.server import ReproServer, ServerConfig, ServerThread
+from repro.server.http import (
+    MAX_HEADER_BYTES,
+    MAX_REQUEST_LINE,
+    HttpError,
+    Request,
+    read_request,
+)
 
 FAST = dict(scale=128.0, n_banks=1, n_intervals=1)
 
@@ -266,3 +280,128 @@ class TestErrorSurface:
             sock.sendall(b"NOT A REQUEST\r\n\r\n")
             reply = sock.recv(4096)
         assert reply.startswith(b"HTTP/1.1 400 ")
+
+    def test_unparseable_target_is_400(self, server):
+        srv, _base = server
+        with socket.create_connection(
+            ("127.0.0.1", srv.bound_port), timeout=30
+        ) as sock:
+            sock.sendall(b"GET http://[::1/ HTTP/1.1\r\n\r\n")
+            reply = sock.recv(4096)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+
+
+#: asyncio.start_server's default StreamReader limit, which the service
+#: listens with.
+STREAM_LIMIT = 2 ** 16
+MAX_BODY = 1024
+
+
+async def _read(data: bytes, max_body: int):
+    reader = asyncio.StreamReader(limit=STREAM_LIMIT)
+    reader.feed_data(data)
+    reader.feed_eof()
+    try:
+        return await read_request(reader, max_body), None
+    except HttpError as exc:
+        return exc, await reader.read()
+
+
+def parse(data: bytes, max_body: int = MAX_BODY):
+    """``(outcome, unread)``: a Request/None, or an HttpError plus the
+    bytes the parser left on the stream when it refused."""
+    return asyncio.run(_read(data, max_body))
+
+
+def check_framing(data: bytes, max_body: int = MAX_BODY):
+    outcome, _unread = parse(data, max_body)
+    if isinstance(outcome, HttpError):
+        assert 400 <= outcome.status < 500, outcome.status
+    elif outcome is not None:
+        assert isinstance(outcome, Request)
+        length = outcome.headers.get("content-length")
+        if length is not None:
+            assert re.fullmatch(r"[0-9]+", length), length
+            assert len(outcome.body) == int(length) <= max_body
+    return outcome
+
+
+_TEXT = st.text(
+    alphabet=st.sampled_from(
+        "aZ09 /?#[]:@%&=+-_.~\t\x00\x0c\x7f\xa0\xb2\xff"
+    ),
+    max_size=24,
+)
+_HEADER_NAMES = st.sampled_from(
+    ["Content-Length", "content-length", "Transfer-Encoding", "Host", ""]
+) | _TEXT
+_LENGTHS = st.sampled_from(
+    ["0", "5", "+5", "-1", "1_0", " 5", "\x0c5", "5 5", "\xb2", "0x5",
+     "1" * 5000, str(MAX_BODY), str(MAX_BODY + 1)]
+) | _TEXT
+
+
+@st.composite
+def request_bytes(draw):
+    """A request-shaped byte stream: mostly well-framed, perturbed at
+    every field, so the fuzz reaches past the request line."""
+    method = draw(st.sampled_from(["GET", "POST", "get", ""]) | _TEXT)
+    target = draw(st.sampled_from(
+        ["/", "/v1/health?x=1", "http://[::1/", "http://[::1]:80/",
+         "http://h]/", "//[", "*"]
+    ) | _TEXT)
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2"]))
+    lines = [f"{method} {target} {version}"]
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(_HEADER_NAMES)
+        value = draw(_LENGTHS if "length" in name.lower() else _TEXT)
+        lines.append(f"{name}:{draw(st.sampled_from(['', ' ']))}{value}")
+    head = "\r\n".join(lines) + draw(st.sampled_from(["\r\n\r\n", "\r\n", ""]))
+    return head.encode("latin-1") + draw(st.binary(max_size=40))
+
+
+class TestRequestFraming:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.binary(max_size=256) | request_bytes())
+    @example(data=b"GET http://[::1/ HTTP/1.1\r\n\r\n")
+    @example(data=b"POST /v1/runs HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n"
+                  b"0123456789")
+    @example(data=b"POST /v1/runs HTTP/1.1\r\nContent-Length: +5\r\n\r\n"
+                  b"12345")
+    def test_any_stream_parses_or_gets_a_4xx(self, data):
+        check_framing(data)
+
+    @pytest.mark.parametrize("value", ["1_0", "+5", "\x0c5", "-1", "5 5",
+                                       "\xb2", "1" * 5000])
+    def test_content_length_is_ascii_digits_only(self, value):
+        data = (f"POST / HTTP/1.1\r\nContent-Length: {value}\r\n\r\n"
+                ).encode("latin-1") + b"0123456789"
+        outcome, _unread = parse(data)
+        assert isinstance(outcome, HttpError) and outcome.status == 400
+
+    def test_content_length_allows_optional_whitespace(self):
+        outcome, _unread = parse(
+            b"POST / HTTP/1.1\r\nContent-Length: \t5 \r\n\r\n12345")
+        assert isinstance(outcome, Request) and outcome.body == b"12345"
+
+    @pytest.mark.parametrize("excess", [1, STREAM_LIMIT])
+    def test_overlong_request_line_is_400(self, excess):
+        data = b"GET /" + b"a" * (MAX_REQUEST_LINE + excess) + b" HTTP/1.1\r\n\r\n"
+        outcome, _unread = parse(data)
+        assert isinstance(outcome, HttpError) and outcome.status == 400
+
+    @pytest.mark.parametrize("line_bytes", [100, STREAM_LIMIT + 1])
+    def test_oversized_header_block_is_400(self, line_bytes):
+        filler = b"x-pad: " + b"a" * line_bytes + b"\r\n"
+        repeats = MAX_HEADER_BYTES // len(filler) + 1
+        data = b"GET / HTTP/1.1\r\n" + filler * repeats + b"\r\n"
+        outcome, _unread = parse(data)
+        assert isinstance(outcome, HttpError) and outcome.status == 400
+
+    def test_oversized_body_is_refused_unread(self):
+        body = b"x" * (MAX_BODY + 1)
+        data = (b"POST / HTTP/1.1\r\nContent-Length: "
+                + str(len(body)).encode() + b"\r\n\r\n" + body)
+        outcome, unread = parse(data)
+        assert isinstance(outcome, HttpError) and outcome.status == 413
+        assert unread == body  # refused before a byte of it was read

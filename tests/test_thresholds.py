@@ -54,6 +54,24 @@ class TestModelSchedule:
         # levels m-1 .. L-1 with m = 6: 5..10 -> 6 values
         assert len(st.values) == 6
 
+    @pytest.mark.parametrize("t, m, max_levels, presplit, expected", [
+        (32768, 64, 10, 3, (2179, 4359, 5449, 6957, 9070, 12069, 16384, 32768)),
+        (32768, 64, 11, 1, (813, 1626, 2032, 2590, 3365, 4454, 6006, 8245,
+                            11522, 16384, 32768)),
+        (16384, 256, 13, 5, (797, 1593, 1992, 2541, 3307, 4390, 5941, 8192,
+                             16384)),
+        (8192, 32, 10, 2, (398, 797, 996, 1270, 1654, 2195, 2970, 4096, 8192)),
+        (2048, 16, 9, 4, (243, 486, 608, 779, 1024, 2048)),
+        # Tiny T: rounding ties are bumped to keep the schedule increasing.
+        (64, 4, 12, 1, (1, 2, 3, 4, 5, 6, 8, 11, 16, 22, 32, 64)),
+    ])
+    def test_presplit_below_log2m_values(self, t, m, max_levels, presplit,
+                                         expected):
+        """λ < log2(M) schedules span levels λ-1 .. L-1, pinned literally."""
+        st = SplitThresholds.create(t, m, max_levels, strategy="model",
+                                    presplit_levels=presplit)
+        assert st.values == expected
+
 
 class TestGeometricSchedule:
     def test_doubling(self):
