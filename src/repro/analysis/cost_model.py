@@ -108,7 +108,7 @@ def derive_split_thresholds(
     if k == 1:
         return [t]
     if k == 2:
-        return [t // 2, t]
+        return [max(1, t // 2), t]
     n_head = k - 1
     values = [0.0] * n_head
     values[-1] = t / 2
@@ -119,7 +119,9 @@ def derive_split_thresholds(
         ratios.append(1.25 + 0.0215 * frac * (n_ratios - 1))
     for i in range(n_head - 2, -1, -1):
         values[i] = values[i + 1] / ratios[i]
-    out = [int(round(v)) for v in values] + [t]
+    # Floor at 1 like the geometric schedule: a small T against a long
+    # level span would otherwise round the head to a threshold of 0.
+    out = [max(1, int(round(v))) for v in values] + [t]
     for i in range(1, len(out)):
         if out[i] <= out[i - 1]:
             out[i] = out[i - 1] + 1

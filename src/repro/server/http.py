@@ -17,6 +17,7 @@ should never be trivially OOM-able either.
 from __future__ import annotations
 
 import asyncio
+import re
 from collections.abc import AsyncIterator
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, unquote, urlsplit
@@ -25,6 +26,10 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 MAX_REQUEST_LINE = 8 * 1024
 MAX_HEADER_BYTES = 32 * 1024
 MAX_HEADERS = 64
+
+#: A field name is an RFC 9110 token: no whitespace, so none before
+#: the colon either (RFC 9112 §5.1).
+_FIELD_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
 
 STATUS_REASONS = {
     200: "OK",
@@ -111,10 +116,15 @@ async def read_request(reader: asyncio.StreamReader,
         if not line:
             break
         name, sep, value = line.partition(":")
-        if not sep:
+        if not sep or not _FIELD_NAME.fullmatch(name):
             raise HttpError(400, f"malformed header line: {line!r}")
+        name = name.lower()
+        # Two Content-Lengths leave the body's end ambiguous
+        # (RFC 9112 §6.3): refuse rather than pick one.
+        if name == "content-length" and name in headers:
+            raise HttpError(400, "repeated Content-Length")
         # Optional whitespace around a field value is SP / HTAB only.
-        headers[name.strip().lower()] = value.strip(" \t")
+        headers[name] = value.strip(" \t")
     else:
         raise HttpError(400, "too many headers")
 

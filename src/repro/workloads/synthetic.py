@@ -107,30 +107,48 @@ class PhaseLayout:
 
 
 @functools.lru_cache(maxsize=256)
-def _zipf_probs(n: int, alpha: float) -> np.ndarray:
-    """Normalised Zipf-over-ranks probabilities for ``n`` items.
+def _zipf_cdf(n: int, alpha: float) -> np.ndarray:
+    """Cached, normalised Zipf-over-ranks CDF over ``n`` ranks.
 
     ``alpha = 0`` degenerates to uniform; larger alpha concentrates mass
-    on the first ranks.  Cached per (n, alpha): the sweep recomputes the
+    on the first ranks.  Cached per (n, alpha): the sweep draws from the
     same distribution for every interval of every bank, and callers only
-    read it.
+    read it (the array is read-only).
     """
     if n <= 0:
         raise ValueError("n must be positive")
     ranks = np.arange(1, n + 1, dtype=np.float64)
     weights = ranks ** (-alpha) if alpha > 0 else np.ones(n)
-    probs = weights / weights.sum()
-    probs.setflags(write=False)
-    return probs
-
-
-@functools.lru_cache(maxsize=256)
-def _zipf_cdf(n: int, alpha: float) -> np.ndarray:
-    """Cached, normalised Zipf CDF over ``n`` ranks (read-only array)."""
-    cdf = np.cumsum(_zipf_probs(n, alpha))
+    cdf = np.cumsum(weights / weights.sum())
     cdf /= cdf[-1]
     cdf.setflags(write=False)
     return cdf
+
+
+#: Forward steps a guide-table draw takes through its bucket before the
+#: remaining draws fall back to a binary search.  Buckets of Zipf CDFs
+#: with ``alpha <= 1.2`` span at most ~12 ranks at ``K ~ 4n``; the cap
+#: bounds the heavy tails of larger ``alpha`` (spans of tens of
+#: thousands of ranks at ``alpha = 2.5``), where stepping is linear.
+_GUIDE_MAX_STEPS = 8
+
+
+@functools.lru_cache(maxsize=64)
+def _zipf_guide(n: int, alpha: float) -> np.ndarray:
+    """Cached guide table of :func:`_zipf_cdf` (Chen & Asau 1974).
+
+    ``guide[j] = #{i : cdf[i] <= j/K}`` for ``j = 0..K``, where ``K`` is
+    the power of two at or above ``4n``.  Multiplying by a power of two
+    is exact, so ``ceil(cdf*K)`` is the first bucket edge at or above
+    each CDF step and the table is a cumulative bincount of it.  int32
+    keeps a 49K-rank table at 1 MB.
+    """
+    cdf = _zipf_cdf(n, alpha)
+    k = 1 << (4 * n - 1).bit_length()
+    edges = np.ceil(cdf * k).astype(np.intp)
+    guide = np.cumsum(np.bincount(edges, minlength=k + 1), dtype=np.int32)
+    guide.setflags(write=False)
+    return guide
 
 
 def _zipf_draw(
@@ -142,8 +160,36 @@ def _zipf_draw(
     generator stream exactly like ``rng.choice(pool, size, p=probs)``
     (one ``random(size)`` draw) while skipping the per-call
     re-normalisation and cumsum that ``choice`` performs.
+
+    Each uniform ``u`` resolves to ``searchsorted(cdf, u, 'right')``
+    exactly, through the guide table instead of a binary search:
+    ``u`` is a multiple of 2**-53 below 1, so its bucket ``j =
+    floor(u*K)`` is exact and the answer lies in ``[guide[j],
+    guide[j+1]]``.  Where the two are equal that is the answer (most
+    draws); otherwise the draw steps forward from ``guide[j]`` while
+    ``cdf[i] <= u``, which stops by ``n - 1`` because ``cdf[-1] == 1 >
+    u``.  Draws still stepping after :data:`_GUIDE_MAX_STEPS` steps are
+    finished with ``searchsorted``.  See DESIGN.md "Stream generation".
     """
-    return pool[np.searchsorted(_zipf_cdf(len(pool), alpha), rng.random(size), side="right")]
+    n = len(pool)
+    cdf = _zipf_cdf(n, alpha)
+    guide = _zipf_guide(n, alpha)
+    u = rng.random(size)
+    bucket = (u * (len(guide) - 1)).astype(np.intp)
+    ranks = guide[bucket]
+    # guide[1:][bucket] is guide[bucket + 1] without allocating bucket + 1.
+    pending = np.flatnonzero(ranks != guide[1:][bucket])
+    del bucket
+    at, u_pending = ranks[pending], u[pending]
+    for _ in range(_GUIDE_MAX_STEPS):
+        moved = np.flatnonzero(cdf[at] <= u_pending)
+        if not moved.size:
+            break
+        pending, at, u_pending = pending[moved], at[moved] + 1, u_pending[moved]
+        ranks[pending] = at
+    else:
+        ranks[pending] = np.searchsorted(cdf, u_pending, side="right")
+    return pool[ranks]
 
 
 def _draw_hot_rows(

@@ -319,6 +319,16 @@ def check_framing(data: bytes, max_body: int = MAX_BODY):
         assert 400 <= outcome.status < 500, outcome.status
     elif outcome is not None:
         assert isinstance(outcome, Request)
+        names = []
+        for line in data.split(b"\r\n")[1:]:
+            if not line.rstrip(b"\r\n"):  # the parser's end of headers
+                break
+            names.append(line.partition(b":")[0].lower())
+        # RFC 9112 §5.1 / §6.3: every accepted field name is a token,
+        # and the body length came from at most one Content-Length.
+        assert all(re.fullmatch(rb"[!#$%&'*+\-.^_`|~0-9a-z]+", name)
+                   for name in names), names
+        assert names.count(b"content-length") <= 1, names
         length = outcome.headers.get("content-length")
         if length is not None:
             assert re.fullmatch(r"[0-9]+", length), length
@@ -355,7 +365,9 @@ def request_bytes(draw):
     for _ in range(draw(st.integers(0, 3))):
         name = draw(_HEADER_NAMES)
         value = draw(_LENGTHS if "length" in name.lower() else _TEXT)
-        lines.append(f"{name}:{draw(st.sampled_from(['', ' ']))}{value}")
+        before = draw(st.sampled_from(["", "", " ", "\t"]))
+        after = draw(st.sampled_from(["", " "]))
+        lines.append(f"{name}{before}:{after}{value}")
     head = "\r\n".join(lines) + draw(st.sampled_from(["\r\n\r\n", "\r\n", ""]))
     return head.encode("latin-1") + draw(st.binary(max_size=40))
 
@@ -368,6 +380,10 @@ class TestRequestFraming:
                   b"0123456789")
     @example(data=b"POST /v1/runs HTTP/1.1\r\nContent-Length: +5\r\n\r\n"
                   b"12345")
+    @example(data=b"POST /v1/runs HTTP/1.1\r\nContent-Length : 5\r\n\r\n"
+                  b"12345")
+    @example(data=b"POST /v1/runs HTTP/1.1\r\nContent-Length: 5\r\n"
+                  b"Content-Length: 2\r\n\r\n12345")
     def test_any_stream_parses_or_gets_a_4xx(self, data):
         check_framing(data)
 

@@ -64,6 +64,8 @@ class TestModelSchedule:
         (2048, 16, 9, 4, (243, 486, 608, 779, 1024, 2048)),
         # Tiny T: rounding ties are bumped to keep the schedule increasing.
         (64, 4, 12, 1, (1, 2, 3, 4, 5, 6, 8, 11, 16, 22, 32, 64)),
+        # Tinier T: the head would round to 0; it is floored at 1 first.
+        (16, 8, 12, 2, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16)),
     ])
     def test_presplit_below_log2m_values(self, t, m, max_levels, presplit,
                                          expected):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workloads.suites import (
     SUITES,
@@ -13,6 +15,9 @@ from repro.workloads.suites import (
 )
 from repro.workloads.synthetic import (
     StreamModel,
+    _zipf_cdf,
+    _zipf_draw,
+    _zipf_guide,
     interarrival_times_ns,
     single_aggressor_stream,
     uniform_stream,
@@ -122,6 +127,62 @@ class TestStreamModel:
         spec = get_workload("comm3")
         layouts = phase_layouts(spec, 4096)
         assert len(layouts) == spec.phase_count
+
+
+#: Uniform draws are multiples of 2**-53 in [0, 1); a "tick" is the
+#: integer multiplier.
+GRID = 2 ** 53
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose next ``random(size)`` is ``u``."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.u = u
+
+    def random(self, size: int) -> np.ndarray:
+        assert size == len(self.u)
+        return self.u
+
+
+@st.composite
+def zipf_draw_cases(draw):
+    """``(n, alpha, u)`` with ``u`` on the 2**-53 grid, aimed at the
+    guide table's edge cases: bucket edges ``j/K`` and the grid value
+    just below them, and CDF steps rounded down to the grid."""
+    n = draw(st.integers(1, 65536))
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5]))
+    k = len(_zipf_guide(n, alpha)) - 1
+    cdf = _zipf_cdf(n, alpha)
+    ticks = draw(st.lists(st.integers(0, GRID - 1), max_size=8))
+    for j in draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=8)):
+        ticks.append(j * (GRID // k))
+        ticks.append(max(0, j * (GRID // k) - 1))
+    for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=16)):
+        ticks.append(min(int(np.floor(cdf[i] * GRID)), GRID - 1))
+    return n, alpha, np.array(ticks, dtype=np.float64) / GRID
+
+
+class TestZipfGuideTable:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=zipf_draw_cases())
+    def test_draw_equals_binary_search(self, case):
+        n, alpha, u = case
+        try:
+            cdf = _zipf_cdf(n, alpha)
+            guide = _zipf_guide(n, alpha)
+            k = len(guide) - 1
+            assert k >= 4 * n and k & (k - 1) == 0
+            assert np.array_equal(
+                guide, np.searchsorted(cdf, np.arange(k + 1) / k, "right"))
+            pool = np.arange(n)[::-1] * 3 + 1
+            got = _zipf_draw(_FixedUniforms(u), pool, alpha, len(u))
+            assert np.array_equal(
+                got, pool[np.searchsorted(cdf, u, side="right")])
+        finally:
+            # Up to 1.5 MB of tables per n; do not keep 150 of them.
+            for cached in (_zipf_cdf, _zipf_guide):
+                cached.cache_clear()
 
 
 class TestInterarrival:
